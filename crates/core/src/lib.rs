@@ -45,6 +45,7 @@ mod constraints;
 mod domains;
 mod engine;
 mod session;
+mod slice;
 mod solve;
 
 pub use constraints::{

@@ -3,11 +3,19 @@
 //!
 //! Each unknown gets an exactly-one block of indicator variables over its
 //! finite domain. The loop is a lazy CEGIS over indicators: a SAT model
-//! proposes a full assignment; every constraint is verified by an SMT
-//! validity query under that assignment (with memoization keyed on the
-//! restricted assignment of the holes that actually occur in the
-//! constraint); a failed constraint contributes a blocking clause over
-//! exactly those holes — the generalization that makes the search converge.
+//! proposes a full assignment; every constraint is verified by SMT validity
+//! queries under that assignment; a failed constraint contributes a blocking
+//! clause over exactly the holes that occur in it — the generalization that
+//! makes the search converge.
+//!
+//! A constraint with a conjunctive goal is checked as one obligation per
+//! conjunct, each with the hypotheses its slice keeps (see the `slice`
+//! module), when that shrinks some obligation's hole set. Verdicts are
+//! memoized per obligation, keyed on the restricted assignment of the
+//! obligation's holes, so a conjunct refuted once settles every candidate
+//! that agrees on those holes without another query. The blocking clause
+//! still covers the whole constraint, so the SAT search is the same as with
+//! unsliced checks.
 //!
 //! Verification goes through a persistent [`SmtSession`] owned by the
 //! engine: the session carries the library axioms and the normalized-query
@@ -19,22 +27,23 @@
 //! (and therefore the returned `Solution` set) is identical to the serial
 //! run.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use pins_budget::StopReason;
 
-use pins_ir::{EHoleId, PHoleId};
-use pins_logic::{collect_subterms, Term, TermId};
+use pins_ir::{EHoleId, PHoleId, Program};
+use pins_logic::TermId;
 use pins_sat::{Lit, SolveResult, Solver as SatSolver, Var};
 use pins_smt::SmtSession;
-use pins_symexec::{apply_filler_term, HoleKind, MapFiller, SymCtx};
+use pins_symexec::{apply_filler_term, MapFiller, SymCtx};
 use pins_trace::{Counter, MetricsRegistry};
 
 use crate::constraints::Constraint;
 use crate::domains::HoleDomains;
 use crate::session::Session;
+use crate::slice::{obligations, HoleSet, Obligation};
 
 /// A full assignment: per hole, the index of the chosen candidate in its
 /// domain (`usize::MAX` marks an empty-domain hole, treated as unfilled).
@@ -68,11 +77,11 @@ impl Solution {
     }
 }
 
-/// The holes occurring in a constraint (determines the blocking clause).
-#[derive(Debug, Clone, Default)]
-pub struct ConstraintHoles {
-    eholes: Vec<u32>,
-    pholes: Vec<u32>,
+/// A registered constraint: the holes occurring in it (the blocking
+/// clause's support) and the obligations it is verified as, in goal order.
+struct Registered {
+    holes: HoleSet,
+    parts: Vec<Obligation>,
 }
 
 /// Timing and counting statistics from `solve`.
@@ -202,38 +211,83 @@ impl SolveMetrics {
 /// and the parallel path so the two produce identical verdicts.
 fn verify_one_isolated(
     ctx: &mut SymCtx,
-    program: &pins_ir::Program,
+    program: &Program,
     smt: &mut SmtSession,
-    constraint: &Constraint,
+    obligation: &Obligation,
     filler: &MapFiller,
 ) -> Option<bool> {
     catch_unwind(AssertUnwindSafe(|| {
-        verify_one(ctx, program, smt, constraint, filler)
+        verify_one(ctx, program, smt, obligation, filler)
     }))
     .ok()
 }
 
-/// Verifies a single constraint under a filled-in candidate: substitutes the
+/// Verifies a single obligation under a filled-in candidate: substitutes the
 /// filler into the hypotheses and goal, then asks the session for validity.
 fn verify_one(
     ctx: &mut SymCtx,
-    program: &pins_ir::Program,
+    program: &Program,
     smt: &mut SmtSession,
-    constraint: &Constraint,
+    obligation: &Obligation,
     filler: &MapFiller,
 ) -> bool {
-    let hyps: Vec<TermId> = constraint
+    let hyps: Vec<TermId> = obligation
         .hyps
         .iter()
         .map(|&h| apply_filler_term(ctx, program, h, filler))
         .collect();
-    let goal = apply_filler_term(ctx, program, constraint.goal, filler);
+    let goal = apply_filler_term(ctx, program, obligation.goal, filler);
     smt.entails(&mut ctx.arena, &hyps, goal)
 }
 
-/// A solution's choices restricted to the holes one constraint mentions:
+/// Checks `parts` of one constraint in order, stopping at the first failure;
+/// returns each checked part's verdict and how many of the queries panicked.
+fn verify_parts(
+    ctx: &mut SymCtx,
+    program: &Program,
+    smt: &mut SmtSession,
+    parts: &[(usize, &Obligation)],
+    filler: &MapFiller,
+) -> (Vec<(usize, bool)>, u64) {
+    let mut verdicts = Vec::with_capacity(parts.len());
+    let mut panics = 0;
+    for &(p, obligation) in parts {
+        let valid =
+            verify_one_isolated(ctx, program, smt, obligation, filler).unwrap_or_else(|| {
+                panics += 1;
+                false
+            });
+        verdicts.push((p, valid));
+        if !valid {
+            break;
+        }
+    }
+    (verdicts, panics)
+}
+
+/// A solution's choices restricted to a set of holes:
 /// `(is_expr, hole id, chosen candidate)` triples.
-type RestrictedKey = Vec<(bool, u32, usize)>;
+pub(crate) type RestrictedKey = Vec<(bool, u32, usize)>;
+
+pub(crate) fn restricted_key(holes: &HoleSet, s: &Solution) -> RestrictedKey {
+    let mut key = Vec::with_capacity(holes.eholes.len() + holes.pholes.len());
+    for &h in &holes.eholes {
+        key.push((true, h, s.exprs[h as usize]));
+    }
+    for &h in &holes.pholes {
+        key.push((false, h, s.preds[h as usize]));
+    }
+    key
+}
+
+/// What the memo table already says about one constraint under a candidate.
+enum Known {
+    /// Settled without a query: every part is known to pass, or some part
+    /// is known to fail.
+    Settled(bool),
+    /// The parts still to query, in goal order, with their memo keys.
+    Pending(Vec<(usize, RestrictedKey)>),
+}
 
 /// The incremental hole solver, persistent across PINS iterations
 /// (blocking clauses learned from old constraints remain valid as the
@@ -242,9 +296,9 @@ pub struct HoleSolver {
     sat: SatSolver,
     evars: Vec<Vec<Var>>,
     pvars: Vec<Vec<Var>>,
-    /// `(constraint index, restricted assignment) -> verified?`
-    cache: HashMap<(usize, RestrictedKey), bool>,
-    holes_of: Vec<ConstraintHoles>,
+    /// `(constraint index, part index, restricted assignment) -> verified?`
+    cache: HashMap<(usize, usize, RestrictedKey), bool>,
+    constraints: Vec<Registered>,
     /// Statistics accumulated across calls.
     pub stats: SolveStats,
     /// Registry handles mirroring `stats`; detached until
@@ -273,7 +327,7 @@ impl HoleSolver {
             evars,
             pvars,
             cache: HashMap::new(),
-            holes_of: Vec::new(),
+            constraints: Vec::new(),
             stats: SolveStats::default(),
             metrics: SolveMetrics::default(),
         }
@@ -289,37 +343,22 @@ impl HoleSolver {
         self.metrics = SolveMetrics::bind(registry);
     }
 
-    /// Registers the holes occurring in constraint `idx` (call once per new
-    /// constraint, in order).
-    pub fn register_constraint(&mut self, ctx: &SymCtx, idx: usize, c: &Constraint) {
+    /// Registers constraint `idx` (call once per new constraint, in order):
+    /// records its holes and slices it into obligations.
+    pub fn register_constraint(
+        &mut self,
+        ctx: &SymCtx,
+        program: &Program,
+        idx: usize,
+        c: &Constraint,
+    ) {
         assert_eq!(
             idx,
-            self.holes_of.len(),
+            self.constraints.len(),
             "constraints must register in order"
         );
-        let mut eholes = HashSet::new();
-        let mut pholes = HashSet::new();
-        let mut subs = HashSet::new();
-        for &h in c.hyps.iter().chain(std::iter::once(&c.goal)) {
-            collect_subterms(&ctx.arena, h, &mut subs);
-        }
-        for s in &subs {
-            if let Term::Hole(occ, _) = ctx.arena.term(*s) {
-                match ctx.occurrence(*occ).kind {
-                    HoleKind::Expr(e) => {
-                        eholes.insert(e.0);
-                    }
-                    HoleKind::Pred(p) => {
-                        pholes.insert(p.0);
-                    }
-                }
-            }
-        }
-        let mut eholes: Vec<u32> = eholes.into_iter().collect();
-        let mut pholes: Vec<u32> = pholes.into_iter().collect();
-        eholes.sort_unstable();
-        pholes.sort_unstable();
-        self.holes_of.push(ConstraintHoles { eholes, pholes });
+        let (holes, parts) = obligations(ctx, program, c);
+        self.constraints.push(Registered { holes, parts });
     }
 
     fn extract_solution(sat: &SatSolver, evars: &[Vec<Var>], pvars: &[Vec<Var>]) -> Solution {
@@ -334,53 +373,70 @@ impl HoleSolver {
         }
     }
 
-    fn restricted_key(&self, c: usize, s: &Solution) -> RestrictedKey {
-        let holes = &self.holes_of[c];
-        let mut key = Vec::with_capacity(holes.eholes.len() + holes.pholes.len());
-        for &h in &holes.eholes {
-            key.push((true, h, s.exprs[h as usize]));
+    /// Looks constraint `c` up in the memo table under `s`: a part known to
+    /// fail settles it, otherwise the parts not yet known remain to query.
+    fn known(&self, c: usize, s: &Solution) -> Known {
+        let mut pending = Vec::new();
+        for (p, part) in self.constraints[c].parts.iter().enumerate() {
+            let key = restricted_key(&part.holes, s);
+            match self.cache.get(&(c, p, key.clone())) {
+                Some(false) => return Known::Settled(false),
+                Some(true) => {}
+                None => pending.push((p, key)),
+            }
         }
-        for &h in &holes.pholes {
-            key.push((false, h, s.preds[h as usize]));
+        if pending.is_empty() {
+            Known::Settled(true)
+        } else {
+            Known::Pending(pending)
         }
-        key
+    }
+
+    /// Memoizes the verdicts of the parts of `c` that were queried; `pending`
+    /// gives their keys.
+    fn record(
+        &mut self,
+        c: usize,
+        pending: Vec<(usize, RestrictedKey)>,
+        verdicts: &[(usize, bool)],
+    ) -> bool {
+        for ((p, key), &(q, valid)) in pending.into_iter().zip(verdicts) {
+            debug_assert_eq!(p, q);
+            self.cache.insert((c, p, key), valid);
+        }
+        verdicts.iter().all(|&(_, valid)| valid)
     }
 
     /// Verifies one constraint under a solution, with memoization (serial
     /// path).
-    #[allow(clippy::too_many_arguments)]
     fn verify(
         &mut self,
         ctx: &mut SymCtx,
-        session: &Session,
-        constraints: &[Constraint],
+        program: &Program,
         c: usize,
         solution: &Solution,
         domains: &HoleDomains,
         smt: &mut SmtSession,
     ) -> bool {
-        let key = self.restricted_key(c, solution);
-        if let Some(&v) = self.cache.get(&(c, key.clone())) {
-            return v;
-        }
-        let filler = solution.to_filler(domains);
-        let t0 = Instant::now();
-        let valid = match verify_one_isolated(ctx, &session.composed, smt, &constraints[c], &filler)
-        {
-            Some(v) => v,
-            None => {
-                self.stats.worker_panics += 1;
-                self.metrics.worker_panics.inc();
-                false
-            }
+        let pending = match self.known(c, solution) {
+            Known::Settled(valid) => return valid,
+            Known::Pending(pending) => pending,
         };
+        let filler = solution.to_filler(domains);
+        let parts: Vec<(usize, &Obligation)> = pending
+            .iter()
+            .map(|&(p, _)| (p, &self.constraints[c].parts[p]))
+            .collect();
+        let t0 = Instant::now();
+        let (verdicts, panics) = verify_parts(ctx, program, smt, &parts, &filler);
         let dt = t0.elapsed();
         self.stats.smt_time += dt;
         self.metrics.smt_time.add_duration(dt);
-        self.stats.smt_queries += 1;
-        self.metrics.smt_queries.inc();
-        self.cache.insert((c, key), valid);
-        valid
+        self.stats.smt_queries += verdicts.len() as u64;
+        self.metrics.smt_queries.add(verdicts.len() as u64);
+        self.stats.worker_panics += panics;
+        self.metrics.worker_panics.add(panics);
+        self.record(c, pending, &verdicts)
     }
 
     /// Returns the index of the first constraint that fails under `s`, or
@@ -408,20 +464,22 @@ impl HoleSolver {
                 workers,
             );
         }
-        (0..constraints.len())
-            .find(|&c| !self.verify(ctx, session, constraints, c, s, domains, smt))
+        (0..constraints.len()).find(|&c| !self.verify(ctx, &session.composed, c, s, domains, smt))
     }
 
     /// Parallel verification: constraint indices are dispatched in waves of
-    /// `workers * 2`; within a wave, uncached indices are split round-robin
-    /// across scoped worker threads, each with its own cloned translation
-    /// context and a forked session sharing the parent's query cache.
+    /// `workers * 2`; within a wave, constraints the memo table does not
+    /// settle are split round-robin across scoped worker threads, each with
+    /// its own cloned translation context and a forked session sharing the
+    /// parent's query cache. A worker checks a constraint's unknown
+    /// obligations exactly as the serial path does: in goal order, stopping
+    /// at the first failure.
     ///
     /// Determinism: waves are processed in index order and the first wave
     /// containing a failure yields its *minimum* failing index, which is
     /// exactly the serial first-failure. Worker verdicts equal serial
-    /// verdicts (verification is pure given constraint + filler), so the
-    /// memo table converges to the same contents in either mode.
+    /// verdicts (verification is pure given obligation + filler), so the
+    /// blocking clauses and the solution set are the same in either mode.
     #[allow(clippy::too_many_arguments)]
     fn first_failing_parallel(
         &mut self,
@@ -443,33 +501,49 @@ impl HoleSolver {
         let mut start = 0;
         while start < n {
             let end = n.min(start + wave_size);
-            let wave: Vec<usize> = (start..end).collect();
+            let wave = start..end;
             start = end;
 
             let mut results: HashMap<usize, bool> = HashMap::new();
-            let mut keys: HashMap<usize, Vec<(bool, u32, usize)>> = HashMap::new();
-            let mut pending: Vec<usize> = Vec::new();
-            for &c in &wave {
-                let key = self.restricted_key(c, s);
-                if let Some(&v) = self.cache.get(&(c, key.clone())) {
-                    results.insert(c, v);
-                } else {
-                    pending.push(c);
+            let mut pending: Vec<(usize, Vec<(usize, RestrictedKey)>)> = Vec::new();
+            for c in wave.clone() {
+                match self.known(c, s) {
+                    Known::Settled(valid) => {
+                        results.insert(c, valid);
+                    }
+                    Known::Pending(parts) => pending.push((c, parts)),
                 }
-                keys.insert(c, key);
             }
 
             if !pending.is_empty() {
-                let t0 = Instant::now();
-                let chunks: Vec<Vec<usize>> = (0..workers)
-                    .map(|w| pending.iter().copied().skip(w).step_by(workers).collect())
+                let registered = &self.constraints;
+                type Chunk<'a> = Vec<(usize, Vec<(usize, &'a Obligation)>)>;
+                let chunks: Vec<Chunk> = (0..workers)
+                    .map(|w| {
+                        pending
+                            .iter()
+                            .skip(w)
+                            .step_by(workers)
+                            .map(|(c, parts)| {
+                                let obligations = parts
+                                    .iter()
+                                    .map(|&(p, _)| (p, &registered[*c].parts[p]))
+                                    .collect();
+                                (*c, obligations)
+                            })
+                            .collect()
+                    })
                     .collect();
-                type WorkerOutcome = (Vec<(usize, bool)>, u64, pins_smt::SessionStats);
+                let t0 = Instant::now();
+                type WorkerOutcome = (
+                    Vec<(usize, Vec<(usize, bool)>)>,
+                    u64,
+                    pins_smt::SessionStats,
+                );
                 let outcomes: Vec<Result<WorkerOutcome, ()>> = std::thread::scope(|scope| {
                     let handles: Vec<_> = chunks
                         .iter()
                         .map(|chunk| {
-                            let chunk = chunk.clone();
                             let mut wctx = ctx.clone();
                             let mut wsmt = smt.fork();
                             let filler = &filler;
@@ -478,21 +552,14 @@ impl HoleSolver {
                                 // serial path: a poisoned query counts as
                                 // unverified and the worker moves on
                                 let mut panics = 0u64;
-                                let out: Vec<(usize, bool)> = chunk
-                                    .into_iter()
-                                    .map(|c| {
-                                        let ok = verify_one_isolated(
-                                            &mut wctx,
-                                            program,
-                                            &mut wsmt,
-                                            &constraints[c],
-                                            filler,
-                                        )
-                                        .unwrap_or_else(|| {
-                                            panics += 1;
-                                            false
-                                        });
-                                        (c, ok)
+                                let out = chunk
+                                    .iter()
+                                    .map(|(c, parts)| {
+                                        let (verdicts, p) = verify_parts(
+                                            &mut wctx, program, &mut wsmt, parts, filler,
+                                        );
+                                        panics += p;
+                                        (*c, verdicts)
                                     })
                                     .collect();
                                 (out, panics, wsmt.stats)
@@ -507,6 +574,7 @@ impl HoleSolver {
                 let dt = t0.elapsed();
                 self.stats.smt_time += dt;
                 self.metrics.smt_time.add_duration(dt);
+                let mut verdicts: HashMap<usize, Vec<(usize, bool)>> = HashMap::new();
                 for (w, outcome) in outcomes.into_iter().enumerate() {
                     match outcome {
                         Ok((pairs, panics, wstats)) => {
@@ -519,9 +587,7 @@ impl HoleSolver {
                             // fold worker traffic into the parent session so
                             // its counters stay the single source of truth
                             smt.stats.absorb(&wstats);
-                            for (c, ok) in pairs {
-                                results.insert(c, ok);
-                            }
+                            verdicts.extend(pairs);
                         }
                         Err(()) => {
                             // the whole worker died (a panic that escaped
@@ -529,19 +595,19 @@ impl HoleSolver {
                             // entire chunk to unverified rather than abort
                             self.stats.worker_panics += 1;
                             self.metrics.worker_panics.inc();
-                            for &c in &chunks[w] {
-                                results.insert(c, false);
+                            for (c, parts) in &chunks[w] {
+                                verdicts.insert(*c, vec![(parts[0].0, false)]);
                             }
                         }
                     }
                 }
+                for (c, keys) in pending {
+                    let valid = self.record(c, keys, &verdicts[&c]);
+                    results.insert(c, valid);
+                }
             }
 
-            for &c in &wave {
-                self.cache
-                    .insert((c, keys.remove(&c).unwrap()), results[&c]);
-            }
-            if let Some(&c) = wave.iter().find(|&&c| !results[&c]) {
+            if let Some(c) = wave.into_iter().find(|c| !results[c]) {
                 return Some(c);
             }
         }
@@ -552,7 +618,7 @@ impl HoleSolver {
     /// constraint `c` under `s` (every extension of that assignment fails
     /// the constraint too).
     fn block(&mut self, c: usize, s: &Solution, into_main: bool, snapshot: &mut SatSolver) {
-        let holes = self.holes_of[c].clone();
+        let holes = self.constraints[c].holes.clone();
         let mut clause = Vec::new();
         for &h in &holes.eholes {
             let choice = s.exprs[h as usize];
@@ -599,8 +665,8 @@ impl HoleSolver {
         self.metrics.workers.record_max(workers.max(1) as u64);
         let before = smt.stats;
         // register any new constraints
-        for (idx, constraint) in constraints.iter().enumerate().skip(self.holes_of.len()) {
-            self.register_constraint(ctx, idx, constraint);
+        for (idx, constraint) in constraints.iter().enumerate().skip(self.constraints.len()) {
+            self.register_constraint(ctx, &session.composed, idx, constraint);
         }
         let mut found = Vec::new();
         self.stats.last_stop = None;

@@ -1,6 +1,7 @@
 use pins_ir::{
     parse_expr_in, parse_pred_in, program_to_string, run, ExternEnv, Store, Type, Value,
 };
+use pins_logic::{Term, TermId};
 
 use crate::*;
 
@@ -280,4 +281,244 @@ fn terminate_constraints_generated_per_template_loop() {
     assert!(cs
         .iter()
         .any(|c| matches!(c.label, ConstraintLabel::InvMaintain(_))));
+}
+
+/// The suite's LU decomp benchmark (2x2 Doolittle decomposition and its
+/// re-multiplication), rebuilt here because `pins-suite` depends on this
+/// crate.
+fn lu_session() -> Session {
+    let mut s = Session::from_sources(
+        r#"
+extern mul(int, int): int;
+extern div(int, int): int;
+proc lu2(inout a: int, inout b: int, inout c: int, inout d: int) {
+  assume(a != 0);
+  c := div(c, a);
+  d := d - mul(c, b);
+}
+"#,
+        r#"
+extern mul(int, int): int;
+extern div(int, int): int;
+proc lu2_inv(in a: int, in b: int, in c: int, in d: int, out aI: int, out bI: int, out cI: int, out dI: int) {
+  aI := ?e1;
+  bI := ?e2;
+  cI := ?e3;
+  dI := ?e4;
+}
+"#,
+    );
+    let c = s.composed.clone();
+    s.expr_candidates = [
+        "a",
+        "b",
+        "c",
+        "d",
+        "mul(c, a)",
+        "mul(c, b)",
+        "d + mul(c, b)",
+        "d - mul(c, b)",
+        "div(c, a)",
+    ]
+    .iter()
+    .map(|src| parse_expr_in(&c, src).unwrap())
+    .collect();
+    s.spec = Spec {
+        items: ["a", "b", "c", "d"]
+            .iter()
+            .map(|v| SpecItem::IntEq {
+                input: c.var_by_name(v).unwrap(),
+                output: c.var_by_name(&format!("{v}I")).unwrap(),
+            })
+            .collect(),
+    };
+    s.axioms = vec![AxiomDef::parse(
+        &c.externs,
+        &[("x", Type::Int), ("y", Type::Int)],
+        "y = 0 || mul(div(x, y), y) = x",
+    )];
+    s
+}
+
+/// LU's only constraint: the `safepath` constraint of its single path.
+fn lu_constraint(session: &Session) -> (pins_symexec::SymCtx, Constraint) {
+    let mut ctx = pins_symexec::SymCtx::new(&session.composed);
+    let config = pins_symexec::ExploreConfig {
+        check_feasibility: false,
+        ..Default::default()
+    };
+    let paths = pins_symexec::Explorer::new(&session.composed, config).enumerate(
+        &mut ctx,
+        &pins_symexec::EmptyFiller,
+        4,
+    );
+    assert_eq!(paths.len(), 1, "LU decomp is straight-line code");
+    let c = safepath_constraint(session, &session.spec, &mut ctx, &paths[0]);
+    (ctx, c)
+}
+
+/// The hypothesis of `c` that defines variable `name` at `version`.
+fn definition_of(
+    ctx: &pins_symexec::SymCtx,
+    session: &Session,
+    c: &Constraint,
+    name: &str,
+    version: u32,
+) -> pins_logic::TermId {
+    let sym = ctx.var_sym(session.composed.var_by_name(name).unwrap());
+    let is_var = |t| {
+        matches!(*ctx.arena.term(t), Term::Var { sym: s, version: v, .. }
+            if s == sym && v == version)
+    };
+    *c.hyps
+        .iter()
+        .find(|&&h| matches!(*ctx.arena.term(h), Term::Eq(a, b) if is_var(a) || is_var(b)))
+        .unwrap_or_else(|| panic!("no definition of {name}@{version}"))
+}
+
+#[test]
+fn lu_goal_splits_into_parts_with_growing_hole_sets() {
+    let session = lu_session();
+    let (ctx, c) = lu_constraint(&session);
+    let arena_len = ctx.arena.len();
+    let (holes, parts) = crate::slice::obligations(&ctx, &session.composed, &c);
+    assert_eq!(ctx.arena.len(), arena_len, "slicing must intern no terms");
+    assert_eq!(holes.eholes, vec![0, 1, 2, 3]);
+    let part_holes: Vec<Vec<u32>> = parts.iter().map(|p| p.holes.eholes.clone()).collect();
+    assert_eq!(
+        part_holes,
+        vec![vec![0], vec![0, 1], vec![0, 1, 2], vec![0, 1, 2, 3]]
+    );
+    assert!(parts.iter().all(|p| p.holes.pholes.is_empty()));
+}
+
+#[test]
+fn definition_readable_by_a_hole_is_kept() {
+    let session = lu_session();
+    let (ctx, c) = lu_constraint(&session);
+    let p = &session.composed;
+    let Term::And(goals) = ctx.arena.term(c.goal).clone() else {
+        panic!("LU's goal is a conjunction");
+    };
+    let a_def = definition_of(&ctx, &session, &c, "aI", 1);
+    let b_def = definition_of(&ctx, &session, &c, "bI", 1);
+    // `bI := ?e2` runs after `aI := ?e1`, so ?e2 may read aI@1: the goal
+    // on b keeps aI's definition although the goal itself never mentions aI
+    let b_part = crate::slice::slice_hyps(&ctx, p, &c.hyps, goals[1]);
+    assert!(b_part.contains(&a_def) && b_part.contains(&b_def));
+    // ... while no kept hole can read bI@1 in the goal on a, so its
+    // definition goes
+    let a_part = crate::slice::slice_hyps(&ctx, p, &c.hyps, goals[0]);
+    assert!(a_part.contains(&a_def) && !a_part.contains(&b_def));
+}
+
+#[test]
+fn cyclic_definition_is_kept() {
+    let session = lu_session();
+    let (mut ctx, c) = lu_constraint(&session);
+    let a0 = ctx.var_term(session.composed.var_by_name("a").unwrap(), 0);
+    let mul = ctx.arena.symbols().get("mul").unwrap();
+    let z = ctx.arena.symbols_mut().fresh("z");
+    let z0 = ctx.arena.mk_var(z, 0, pins_logic::Sort::Int);
+    let z_times_a = ctx.arena.mk_app(mul, vec![z0, a0]);
+    let cyclic = ctx.arena.mk_eq(z0, z_times_a);
+    let acyclic_rhs = ctx.arena.mk_app(mul, vec![a0, a0]);
+    let acyclic = ctx.arena.mk_eq(z0, acyclic_rhs);
+    let Term::And(goals) = ctx.arena.term(c.goal).clone() else {
+        panic!("LU's goal is a conjunction");
+    };
+    for (extra, kept) in [(cyclic, true), (acyclic, false)] {
+        let mut hyps = c.hyps.clone();
+        hyps.push(extra);
+        let sliced = crate::slice::slice_hyps(&ctx, &session.composed, &hyps, goals[0]);
+        assert_eq!(
+            sliced.contains(&extra),
+            kept,
+            "{}",
+            ctx.arena.display(extra)
+        );
+    }
+}
+
+#[test]
+fn constraint_whose_key_does_not_shrink_stays_whole() {
+    let session = lu_session();
+    let (mut ctx, c) = lu_constraint(&session);
+    let p = &session.composed;
+    // both conjuncts read aI@1, so both keep its definition and both parts
+    // would have the constraint's own hole set {?e1}
+    let a_def = definition_of(&ctx, &session, &c, "aI", 1);
+    let a0 = ctx.var_term(p.var_by_name("a").unwrap(), 0);
+    let b0 = ctx.var_term(p.var_by_name("b").unwrap(), 0);
+    let ai1 = ctx.var_term(p.var_by_name("aI").unwrap(), 1);
+    let eq = ctx.arena.mk_eq(a0, ai1);
+    let le = ctx.arena.mk_le(b0, ai1);
+    let goal = ctx.arena.mk_and(vec![eq, le]);
+    let hyps = vec![a_def];
+    let whole = Constraint {
+        hyps: hyps.clone(),
+        goal,
+        label: ConstraintLabel::SafePath,
+    };
+    let (holes, parts) = crate::slice::obligations(&ctx, p, &whole);
+    assert_eq!(holes.eholes, vec![0]);
+    assert_eq!(parts.len(), 1, "no part shrinks the key: one query");
+    assert_eq!((parts[0].hyps.clone(), parts[0].goal), (hyps, goal));
+}
+
+#[test]
+fn sliced_verdicts_match_whole_constraint_on_lu_candidates() {
+    use pins_smt::{QueryCache, SmtConfig, SmtSession};
+    use std::sync::Arc;
+
+    let session = lu_session();
+    let (mut ctx, c) = lu_constraint(&session);
+    let program = session.composed.clone();
+    let domains = build_domains(&session, DomainConfig::default());
+    let (_, parts) = crate::slice::obligations(&ctx, &program, &c);
+    assert_eq!(parts.len(), 4);
+    let mut smt = SmtSession::with_cache(SmtConfig::default(), Arc::new(QueryCache::new()));
+    for ax in session.axiom_terms(&mut ctx.arena) {
+        smt.assert_axiom(ax);
+    }
+    let mut entails = |ctx: &mut pins_symexec::SymCtx,
+                       hyps: &[TermId],
+                       goal: TermId,
+                       filler: &pins_symexec::MapFiller| {
+        let hyps: Vec<TermId> = hyps
+            .iter()
+            .map(|&h| pins_symexec::apply_filler_term(ctx, &program, h, filler))
+            .collect();
+        let goal = pins_symexec::apply_filler_term(ctx, &program, goal, filler);
+        smt.entails(&mut ctx.arena, &hyps, goal)
+    };
+    // the inverse (a, b, mul(c, a), d + mul(c, b)), its one-hole variations,
+    // and a random sample of the other 9^4 candidates
+    let mut candidates = vec![vec![0, 1, 4, 6]];
+    for h in 0..4 {
+        for choice in [2, 5, 8] {
+            let mut s = candidates[0].clone();
+            s[h] = choice;
+            candidates.push(s);
+        }
+    }
+    let mut rng = pins_prng::SplitMix64::new(0x1u64);
+    for _ in 0..40 {
+        candidates.push((0..4).map(|_| rng.gen_index(9)).collect());
+    }
+    let mut valid = 0;
+    for exprs in candidates {
+        let filler = Solution {
+            exprs: exprs.clone(),
+            preds: vec![],
+        }
+        .to_filler(&domains);
+        let whole = entails(&mut ctx, &c.hyps, c.goal, &filler);
+        let sliced = parts
+            .iter()
+            .all(|p| entails(&mut ctx, &p.hyps, p.goal, &filler));
+        assert_eq!(sliced, whole, "candidate {exprs:?}");
+        valid += whole as usize;
+    }
+    assert_eq!(valid, 1, "only the inverse itself is valid");
 }

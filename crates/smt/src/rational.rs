@@ -160,6 +160,15 @@ impl Rat {
 
     /// Checked addition.
     pub fn checked_add(self, rhs: Rat) -> Option<Rat> {
+        // integer fast path: the normalised form is unique, so skipping the
+        // gcd gives exactly the value the general path computes
+        if self.den == 1 && rhs.den == 1 {
+            return self.num.checked_add(rhs.num).map(Rat::from_int128);
+        }
+        self.checked_add_general(rhs)
+    }
+
+    fn checked_add_general(self, rhs: Rat) -> Option<Rat> {
         let a = self.num.checked_mul(rhs.den)?;
         let b = rhs.num.checked_mul(self.den)?;
         let num = a.checked_add(b)?;
@@ -174,6 +183,14 @@ impl Rat {
 
     /// Checked multiplication (cross-reduced to keep magnitudes small).
     pub fn checked_mul(self, rhs: Rat) -> Option<Rat> {
+        // integer fast path, exact for the same reason as in `checked_add`
+        if self.den == 1 && rhs.den == 1 {
+            return self.num.checked_mul(rhs.num).map(Rat::from_int128);
+        }
+        self.checked_mul_general(rhs)
+    }
+
+    fn checked_mul_general(self, rhs: Rat) -> Option<Rat> {
         let g1 = gcd_mag(self.num.unsigned_abs(), rhs.den.unsigned_abs()).max(1) as i128;
         let g2 = gcd_mag(rhs.num.unsigned_abs(), self.den.unsigned_abs()).max(1) as i128;
         let num = (self.num / g1).checked_mul(rhs.num / g2)?;
@@ -265,24 +282,32 @@ fn cmp_frac_mag(a: u128, b: u128, c: u128, d: u128) -> Ordering {
     }
 }
 
+/// Compares `a` with `b` for any denominators, without overflow.
+fn cmp_general(a: &Rat, b: &Rat) -> Ordering {
+    match (a.num >= 0, b.num >= 0) {
+        (true, false) => Ordering::Greater,
+        (false, true) => Ordering::Less,
+        (true, true) => cmp_frac_mag(
+            a.num.unsigned_abs(),
+            a.den.unsigned_abs(),
+            b.num.unsigned_abs(),
+            b.den.unsigned_abs(),
+        ),
+        (false, false) => cmp_frac_mag(
+            b.num.unsigned_abs(),
+            b.den.unsigned_abs(),
+            a.num.unsigned_abs(),
+            a.den.unsigned_abs(),
+        ),
+    }
+}
+
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
-        match (self.num >= 0, other.num >= 0) {
-            (true, false) => Ordering::Greater,
-            (false, true) => Ordering::Less,
-            (true, true) => cmp_frac_mag(
-                self.num.unsigned_abs(),
-                self.den.unsigned_abs(),
-                other.num.unsigned_abs(),
-                other.den.unsigned_abs(),
-            ),
-            (false, false) => cmp_frac_mag(
-                other.num.unsigned_abs(),
-                other.den.unsigned_abs(),
-                self.num.unsigned_abs(),
-                self.den.unsigned_abs(),
-            ),
+        if self.den == 1 && other.den == 1 {
+            return self.num.cmp(&other.num);
         }
+        cmp_general(self, other)
     }
 }
 
@@ -403,6 +428,47 @@ mod tests {
             Some(Rat::new(5, 6))
         );
         assert_eq!(max.checked_sub(max), Some(Rat::ZERO));
+    }
+
+    /// Integers near zero and at the `i128` boundaries, where the checked
+    /// operations switch between `Some` and `None`.
+    fn random_int(rng: &mut pins_prng::SplitMix64) -> i128 {
+        const EDGES: [i128; 6] = [i128::MIN, i128::MIN + 1, -1, 0, 1, i128::MAX];
+        match rng.gen_index(4) {
+            0 => EDGES[rng.gen_index(EDGES.len())],
+            1 => i128::MAX - rng.gen_range(0..3) as i128,
+            2 => i128::MIN + rng.gen_range(0..3) as i128,
+            _ => rng.gen_range(-1000..1000) as i128,
+        }
+    }
+
+    #[test]
+    fn integer_fast_paths_match_the_general_path() {
+        let mut rng = pins_prng::SplitMix64::new(0x5eed_0001);
+        for _ in 0..20_000 {
+            let a = Rat::from_int128(random_int(&mut rng));
+            let b = Rat::from_int128(random_int(&mut rng));
+            assert_eq!(a.checked_add(b), a.checked_add_general(b), "{a} + {b}");
+            assert_eq!(a.checked_mul(b), a.checked_mul_general(b), "{a} * {b}");
+            assert_eq!(a.cmp(&b), cmp_general(&a, &b), "{a} <=> {b}");
+        }
+        let (min, max) = (Rat::from_int128(i128::MIN), Rat::from_int128(i128::MAX));
+        let minus_one = Rat::from_int(-1);
+        for (a, b) in [(max, Rat::ONE), (min, minus_one), (min, min), (max, max)] {
+            assert_eq!(a.checked_add(b), None, "{a} + {b}");
+            assert_eq!(a.checked_add_general(b), None, "{a} + {b}");
+        }
+        for (a, b) in [
+            (min, minus_one),
+            (max, max),
+            (min, min),
+            (max, Rat::from_int(2)),
+        ] {
+            assert_eq!(a.checked_mul(b), None, "{a} * {b}");
+            assert_eq!(a.checked_mul_general(b), None, "{a} * {b}");
+        }
+        assert_eq!(max.checked_add(min), Some(minus_one));
+        assert_eq!(max.checked_add_general(min), Some(minus_one));
     }
 
     #[test]
