@@ -25,8 +25,8 @@ fn main() {
                     format!("2^{:.0}", outcome.search_space_log2),
                     outcome.solutions.len(),
                     outcome.iterations,
-                    secs(outcome.total_time),
-                    outcome.sat_size,
+                    secs(outcome.stats().total_time),
+                    outcome.stats().sat_size,
                 );
             }
             Err(e) => {

@@ -48,42 +48,27 @@ fn main() {
                     pct(s.pickone_time),
                     secs(s.total_time),
                 );
-                let per_worker = s
-                    .worker_queries
-                    .iter()
-                    .map(|q| q.to_string())
-                    .collect::<Vec<_>>()
-                    .join("/");
                 println!(
-                    "{:<14} cache {} hit / {} miss, {} workers (queries {}), solver reused {}x",
-                    "",
-                    s.smt_cache_hits,
-                    s.smt_cache_misses,
-                    s.verify_workers,
-                    if per_worker.is_empty() {
-                        "-".to_string()
-                    } else {
-                        per_worker
-                    },
-                    s.sessions_reused,
+                    "{:<14} cache {} hit / {} miss, solver reused {}x",
+                    "", s.smt_cache_hits, s.smt_cache_misses, s.sessions_reused,
                 );
                 let degradations = s.unknown_deadline
                     + s.unknown_cancelled
                     + s.unknown_step_limit
                     + s.unknown_overflow
-                    + s.worker_panics
+                    + s.verify_panics
                     + s.sat_interrupts;
                 if degradations > 0 || s.smt_retries > 0 {
                     println!(
                         "{:<14} degraded: {} deadline / {} cancelled / {} step-limit / \
-                         {} overflow unknowns, {} worker panics, {} sat interrupts; \
+                         {} overflow unknowns, {} verify panics, {} sat interrupts; \
                          {} retries ({} cache upgrades)",
                         "",
                         s.unknown_deadline,
                         s.unknown_cancelled,
                         s.unknown_step_limit,
                         s.unknown_overflow,
-                        s.worker_panics,
+                        s.verify_panics,
                         s.sat_interrupts,
                         s.smt_retries,
                         s.smt_cache_upgrades,

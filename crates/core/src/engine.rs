@@ -42,8 +42,8 @@ pub struct PinsConfig {
     pub explore: ExploreConfig,
     /// SMT options for constraint verification.
     pub smt: SmtConfig,
-    /// Worker threads for per-constraint verification inside `solve`
-    /// (1 = serial; results are identical either way).
+    /// Verification threads inside `solve`. Verification is serial, so this
+    /// must be 1; [`Pins::new`] rejects any other value.
     pub verify_workers: usize,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
@@ -59,18 +59,10 @@ impl Default for PinsConfig {
             seed: 0x9142,
             explore: ExploreConfig::default(),
             smt: SmtConfig::default(),
-            verify_workers: default_verify_workers(),
+            verify_workers: 1,
             time_budget: None,
         }
     }
-}
-
-/// Default verification parallelism: the machine's parallelism, capped at 4
-/// (the constraint sets are small; more workers mostly idle).
-pub fn default_verify_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(1)
 }
 
 /// Per-phase timing breakdown, mirroring the paper's Table 4 columns.
@@ -99,13 +91,9 @@ pub struct PinsStats {
     pub smt_cache_misses: u64,
     /// `solve` calls that reused solver state from an earlier iteration.
     pub sessions_reused: u64,
-    /// Size of the verification worker pool (1 = serial).
-    pub verify_workers: usize,
-    /// SMT queries issued per parallel worker slot (empty when serial).
-    pub worker_queries: Vec<u64>,
     /// Verification queries that panicked and were degraded to "constraint
     /// unverified" instead of aborting the run.
-    pub worker_panics: u64,
+    pub verify_panics: u64,
     /// Candidate-enumeration SAT solves interrupted by the shared budget.
     pub sat_interrupts: u64,
     /// Budget-limited `Unknown` SMT answers retried at doubled budgets.
@@ -142,9 +130,7 @@ impl PinsStats {
             smt_cache_hits: registry.get("smt.cache_hits"),
             smt_cache_misses: registry.get("smt.cache_misses"),
             sessions_reused: solve.sessions_reused,
-            verify_workers: solve.workers,
-            worker_queries: solve.worker_queries,
-            worker_panics: solve.worker_panics,
+            verify_panics: solve.verify_panics,
             sat_interrupts: solve.sat_interrupts,
             smt_retries: registry.get("smt.retries"),
             smt_cache_upgrades: registry.get("smt.cache_upgrades"),
@@ -176,9 +162,7 @@ pub struct ResolvedSolution {
 ///
 /// Statistics are exposed through [`stats`](PinsOutcome::stats) (the typed
 /// Table-4 view) and [`metrics`](PinsOutcome::metrics) (the raw
-/// [`MetricsRegistry`] the run was instrumented against). For back
-/// compatibility the outcome also derefs to [`PinsStats`], so
-/// `outcome.total_time` keeps working.
+/// [`MetricsRegistry`] the run was instrumented against).
 #[derive(Debug, Clone)]
 pub struct PinsOutcome {
     /// The surviving solutions (1–4 on the paper's benchmarks).
@@ -190,7 +174,7 @@ pub struct PinsOutcome {
     /// Whether the run stabilized (vs. hitting a budget with candidates).
     pub converged: bool,
     /// Timing and counting statistics (private: read through
-    /// [`stats`](PinsOutcome::stats) or the `Deref` impl).
+    /// [`stats`](PinsOutcome::stats)).
     stats: PinsStats,
     /// The registry every subsystem counter of this run was routed through.
     metrics: MetricsRegistry,
@@ -212,14 +196,6 @@ impl PinsOutcome {
     /// [`Pins::run_with`], if any.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-}
-
-impl std::ops::Deref for PinsOutcome {
-    type Target = PinsStats;
-
-    fn deref(&self) -> &PinsStats {
-        &self.stats
     }
 }
 
@@ -265,7 +241,16 @@ pub struct Pins {
 
 impl Pins {
     /// Creates an engine with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.verify_workers` is not 1: verification is
+    /// serial, and silently ignoring another setting would misreport it.
     pub fn new(config: PinsConfig) -> Self {
+        assert_eq!(
+            config.verify_workers, 1,
+            "PinsConfig::verify_workers must be 1: verification is serial"
+        );
         Pins { config }
     }
 
@@ -345,14 +330,12 @@ impl Pins {
         let mut ctx = SymCtx::new(&session.composed);
         let axioms = session.axiom_terms(&mut ctx.arena);
         // one persistent session for the whole run: it carries the library
-        // axioms and the normalized-query cache shared with the verification
-        // workers forked inside `solve`
+        // axioms and the normalized-query cache
         let mut smt = SmtSession::new(self.config.smt);
         smt.set_budget(budget.clone());
         smt.bind_metrics(metrics, "smt");
         // one provenance context for the whole run: the loop below mutates
-        // it (iteration, phase, path) and every query span reads it —
-        // including spans from worker sessions forked inside `solve`
+        // it (iteration, phase, path) and every query span reads it
         let prov = ProvenanceCtx::new(&session.original.name);
         smt.set_provenance(prov.clone());
         for &ax in &axioms {
@@ -404,7 +387,6 @@ impl Pins {
                     &constraints,
                     self.config.m,
                     &mut smt,
-                    self.config.verify_workers,
                 )
             };
             stats.smt_reduction_time = solver.stats.smt_time;
@@ -412,9 +394,7 @@ impl Pins {
             stats.sat_size = solver.stats.sat_size;
             stats.smt_queries = solver.stats.smt_queries;
             stats.sessions_reused = solver.stats.sessions_reused;
-            stats.verify_workers = solver.stats.workers;
-            stats.worker_queries = solver.stats.worker_queries.clone();
-            stats.worker_panics = solver.stats.worker_panics;
+            stats.verify_panics = solver.stats.verify_panics;
             stats.sat_interrupts = solver.stats.sat_interrupts;
             if sols.is_empty() {
                 // an empty solution set means "every candidate refuted" only

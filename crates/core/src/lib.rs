@@ -56,8 +56,8 @@ pub use domains::{
     type_of_expr, DomainConfig, HoleDomains,
 };
 pub use engine::{
-    default_verify_workers, resolve_solution, ConcreteTest, Pins, PinsConfig, PinsError,
-    PinsOutcome, PinsStats, ResolvedSolution,
+    resolve_solution, ConcreteTest, Pins, PinsConfig, PinsError, PinsOutcome, PinsStats,
+    ResolvedSolution,
 };
 pub use session::{AxiomDef, Session, Spec, SpecItem};
 pub use solve::{HoleSolver, Solution, SolveStats};

@@ -20,12 +20,8 @@
 //! Verification goes through a persistent [`SmtSession`] owned by the
 //! engine: the session carries the library axioms and the normalized-query
 //! cache, so repeated validity checks across PINS iterations short-circuit.
-//! With `workers >= 2` the per-constraint queries of one candidate are
-//! dispatched in waves to a scoped thread pool (one forked session per
-//! worker). Workers only *verify* — the blocking clause is still chosen as
-//! the first failing constraint in index order, so the search trajectory
-//! (and therefore the returned `Solution` set) is identical to the serial
-//! run.
+//! Verification is serial: constraints are checked in index order and the
+//! first failing one supplies the blocking clause.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -97,21 +93,16 @@ pub struct SolveStats {
     pub candidates_proposed: u64,
     /// Final SAT formula size (vars + literal occurrences).
     pub sat_size: usize,
-    /// Normalized-query cache hits attributable to `solve` (parent session
-    /// and workers combined).
+    /// Normalized-query cache hits attributable to `solve`.
     pub cache_hits: u64,
     /// Normalized-query cache misses attributable to `solve`.
     pub cache_misses: u64,
     /// Number of `solve` calls that reused solver/session state built by an
     /// earlier call (incremental reuse across PINS iterations).
     pub sessions_reused: u64,
-    /// Size of the verification worker pool used (1 = serial).
-    pub workers: usize,
-    /// SMT queries issued by each parallel worker slot.
-    pub worker_queries: Vec<u64>,
     /// Verification queries that panicked and were degraded to "constraint
-    /// unverified" instead of aborting the search (serial and parallel).
-    pub worker_panics: u64,
+    /// unverified" instead of aborting the search.
+    pub verify_panics: u64,
     /// Candidate-enumeration SAT solves interrupted by the shared budget.
     pub sat_interrupts: u64,
     /// The budget stop that ended the most recent `solve` call early, if any.
@@ -124,22 +115,6 @@ impl SolveStats {
     /// [`HoleSolver::bind_metrics`]. `last_stop` is not a counter and comes
     /// back `None`; everything else mirrors the live struct.
     pub fn from_registry(registry: &MetricsRegistry) -> SolveStats {
-        let worker_queries: Vec<u64> = {
-            // `snapshot_prefixed` strips the prefix: keys are `{slot}.queries`
-            let per_slot = registry.snapshot_prefixed("solve.worker.");
-            let mut v = vec![0u64; per_slot.len()];
-            for (key, n) in per_slot {
-                if let Some(slot) = key
-                    .strip_suffix(".queries")
-                    .and_then(|idx| idx.parse::<usize>().ok())
-                {
-                    if slot < v.len() {
-                        v[slot] = n;
-                    }
-                }
-            }
-            v
-        };
         SolveStats {
             sat_time: registry.duration("phase.sat"),
             smt_time: registry.duration("phase.smt_reduction"),
@@ -149,9 +124,7 @@ impl SolveStats {
             cache_hits: registry.get("solve.cache_hits"),
             cache_misses: registry.get("solve.cache_misses"),
             sessions_reused: registry.get("solve.sessions_reused"),
-            workers: registry.get("solve.workers") as usize,
-            worker_queries,
-            worker_panics: registry.get("solve.worker_panics"),
+            verify_panics: registry.get("solve.verify_panics"),
             sat_interrupts: registry.get("solve.sat_interrupts"),
             last_stop: None,
         }
@@ -171,12 +144,8 @@ struct SolveMetrics {
     cache_hits: Counter,
     cache_misses: Counter,
     sessions_reused: Counter,
-    workers: Counter,
-    worker_panics: Counter,
+    verify_panics: Counter,
     sat_interrupts: Counter,
-    /// Kept to mint per-worker-slot counters (`solve.worker.{w}.queries`)
-    /// lazily, since the pool size is only known at `solve` time.
-    registry: Option<MetricsRegistry>,
 }
 
 impl SolveMetrics {
@@ -190,25 +159,15 @@ impl SolveMetrics {
             cache_hits: registry.counter("solve.cache_hits"),
             cache_misses: registry.counter("solve.cache_misses"),
             sessions_reused: registry.counter("solve.sessions_reused"),
-            workers: registry.counter("solve.workers"),
-            worker_panics: registry.counter("solve.worker_panics"),
+            verify_panics: registry.counter("solve.verify_panics"),
             sat_interrupts: registry.counter("solve.sat_interrupts"),
-            registry: Some(registry.clone()),
-        }
-    }
-
-    fn worker_slot(&self, w: usize) -> Counter {
-        match &self.registry {
-            Some(r) => r.counter(&format!("solve.worker.{w}.queries")),
-            None => Counter::detached(),
         }
     }
 }
 
 /// Runs [`verify_one`] with panic isolation: a query that panics (e.g. a
 /// poisoned constraint hitting an encoder `panic!`) degrades to `None`
-/// ("unverified") instead of tearing down the solve. Used by BOTH the serial
-/// and the parallel path so the two produce identical verdicts.
+/// ("unverified") instead of tearing down the solve.
 fn verify_one_isolated(
     ctx: &mut SymCtx,
     program: &Program,
@@ -240,31 +199,6 @@ fn verify_one(
     smt.entails(&mut ctx.arena, &hyps, goal)
 }
 
-/// Checks `parts` of one constraint in order, stopping at the first failure;
-/// returns each checked part's verdict and how many of the queries panicked.
-fn verify_parts(
-    ctx: &mut SymCtx,
-    program: &Program,
-    smt: &mut SmtSession,
-    parts: &[(usize, &Obligation)],
-    filler: &MapFiller,
-) -> (Vec<(usize, bool)>, u64) {
-    let mut verdicts = Vec::with_capacity(parts.len());
-    let mut panics = 0;
-    for &(p, obligation) in parts {
-        let valid =
-            verify_one_isolated(ctx, program, smt, obligation, filler).unwrap_or_else(|| {
-                panics += 1;
-                false
-            });
-        verdicts.push((p, valid));
-        if !valid {
-            break;
-        }
-    }
-    (verdicts, panics)
-}
-
 /// A solution's choices restricted to a set of holes:
 /// `(is_expr, hole id, chosen candidate)` triples.
 pub(crate) type RestrictedKey = Vec<(bool, u32, usize)>;
@@ -278,15 +212,6 @@ pub(crate) fn restricted_key(holes: &HoleSet, s: &Solution) -> RestrictedKey {
         key.push((false, h, s.preds[h as usize]));
     }
     key
-}
-
-/// What the memo table already says about one constraint under a candidate.
-enum Known {
-    /// Settled without a query: every part is known to pass, or some part
-    /// is known to fail.
-    Settled(bool),
-    /// The parts still to query, in goal order, with their memo keys.
-    Pending(Vec<(usize, RestrictedKey)>),
 }
 
 /// The incremental hole solver, persistent across PINS iterations
@@ -335,10 +260,8 @@ impl HoleSolver {
 
     /// Binds the solver's counters to shared cells in `registry` (keys
     /// `phase.sat`, `phase.smt_reduction`, `solve.*`). Subsequent `solve`
-    /// calls bump those cells at event time — including the per-worker query
-    /// counts folded back from the parallel verification pool — so the
-    /// registry and the typed [`SolveStats`] stay consistent whether
-    /// verification runs serial or parallel.
+    /// calls bump those cells at event time, so the registry and the typed
+    /// [`SolveStats`] stay consistent.
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = SolveMetrics::bind(registry);
     }
@@ -373,42 +296,10 @@ impl HoleSolver {
         }
     }
 
-    /// Looks constraint `c` up in the memo table under `s`: a part known to
-    /// fail settles it, otherwise the parts not yet known remain to query.
-    fn known(&self, c: usize, s: &Solution) -> Known {
-        let mut pending = Vec::new();
-        for (p, part) in self.constraints[c].parts.iter().enumerate() {
-            let key = restricted_key(&part.holes, s);
-            match self.cache.get(&(c, p, key.clone())) {
-                Some(false) => return Known::Settled(false),
-                Some(true) => {}
-                None => pending.push((p, key)),
-            }
-        }
-        if pending.is_empty() {
-            Known::Settled(true)
-        } else {
-            Known::Pending(pending)
-        }
-    }
-
-    /// Memoizes the verdicts of the parts of `c` that were queried; `pending`
-    /// gives their keys.
-    fn record(
-        &mut self,
-        c: usize,
-        pending: Vec<(usize, RestrictedKey)>,
-        verdicts: &[(usize, bool)],
-    ) -> bool {
-        for ((p, key), &(q, valid)) in pending.into_iter().zip(verdicts) {
-            debug_assert_eq!(p, q);
-            self.cache.insert((c, p, key), valid);
-        }
-        verdicts.iter().all(|&(_, valid)| valid)
-    }
-
-    /// Verifies one constraint under a solution, with memoization (serial
-    /// path).
+    /// Verifies constraint `c` under `solution`. A part the memo table knows
+    /// to fail settles it without a query; otherwise the parts not yet known
+    /// are queried in goal order, stopping at the first failure, and each
+    /// verdict is memoized.
     fn verify(
         &mut self,
         ctx: &mut SymCtx,
@@ -418,200 +309,43 @@ impl HoleSolver {
         domains: &HoleDomains,
         smt: &mut SmtSession,
     ) -> bool {
-        let pending = match self.known(c, solution) {
-            Known::Settled(valid) => return valid,
-            Known::Pending(pending) => pending,
-        };
+        let mut pending = Vec::new();
+        for (p, part) in self.constraints[c].parts.iter().enumerate() {
+            let key = restricted_key(&part.holes, solution);
+            match self.cache.get(&(c, p, key.clone())) {
+                Some(false) => return false,
+                Some(true) => {}
+                None => pending.push((p, key)),
+            }
+        }
+        if pending.is_empty() {
+            return true;
+        }
         let filler = solution.to_filler(domains);
-        let parts: Vec<(usize, &Obligation)> = pending
-            .iter()
-            .map(|&(p, _)| (p, &self.constraints[c].parts[p]))
-            .collect();
         let t0 = Instant::now();
-        let (verdicts, panics) = verify_parts(ctx, program, smt, &parts, &filler);
+        let mut valid = true;
+        let mut queries = 0;
+        let mut panics = 0;
+        for (p, key) in pending {
+            let part = &self.constraints[c].parts[p];
+            queries += 1;
+            valid = verify_one_isolated(ctx, program, smt, part, &filler).unwrap_or_else(|| {
+                panics += 1;
+                false
+            });
+            self.cache.insert((c, p, key), valid);
+            if !valid {
+                break;
+            }
+        }
         let dt = t0.elapsed();
         self.stats.smt_time += dt;
         self.metrics.smt_time.add_duration(dt);
-        self.stats.smt_queries += verdicts.len() as u64;
-        self.metrics.smt_queries.add(verdicts.len() as u64);
-        self.stats.worker_panics += panics;
-        self.metrics.worker_panics.add(panics);
-        self.record(c, pending, &verdicts)
-    }
-
-    /// Returns the index of the first constraint that fails under `s`, or
-    /// `None` if all pass — the serial reference semantics that the parallel
-    /// path must reproduce.
-    #[allow(clippy::too_many_arguments)]
-    fn first_failing(
-        &mut self,
-        ctx: &mut SymCtx,
-        session: &Session,
-        domains: &HoleDomains,
-        constraints: &[Constraint],
-        s: &Solution,
-        smt: &mut SmtSession,
-        workers: usize,
-    ) -> Option<usize> {
-        if workers >= 2 && constraints.len() >= 2 {
-            return self.first_failing_parallel(
-                ctx,
-                session,
-                domains,
-                constraints,
-                s,
-                smt,
-                workers,
-            );
-        }
-        (0..constraints.len()).find(|&c| !self.verify(ctx, &session.composed, c, s, domains, smt))
-    }
-
-    /// Parallel verification: constraint indices are dispatched in waves of
-    /// `workers * 2`; within a wave, constraints the memo table does not
-    /// settle are split round-robin across scoped worker threads, each with
-    /// its own cloned translation context and a forked session sharing the
-    /// parent's query cache. A worker checks a constraint's unknown
-    /// obligations exactly as the serial path does: in goal order, stopping
-    /// at the first failure.
-    ///
-    /// Determinism: waves are processed in index order and the first wave
-    /// containing a failure yields its *minimum* failing index, which is
-    /// exactly the serial first-failure. Worker verdicts equal serial
-    /// verdicts (verification is pure given obligation + filler), so the
-    /// blocking clauses and the solution set are the same in either mode.
-    #[allow(clippy::too_many_arguments)]
-    fn first_failing_parallel(
-        &mut self,
-        ctx: &mut SymCtx,
-        session: &Session,
-        domains: &HoleDomains,
-        constraints: &[Constraint],
-        s: &Solution,
-        smt: &mut SmtSession,
-        workers: usize,
-    ) -> Option<usize> {
-        let n = constraints.len();
-        let filler = s.to_filler(domains);
-        let program = &session.composed;
-        if self.stats.worker_queries.len() < workers {
-            self.stats.worker_queries.resize(workers, 0);
-        }
-        let wave_size = workers * 2;
-        let mut start = 0;
-        while start < n {
-            let end = n.min(start + wave_size);
-            let wave = start..end;
-            start = end;
-
-            let mut results: HashMap<usize, bool> = HashMap::new();
-            let mut pending: Vec<(usize, Vec<(usize, RestrictedKey)>)> = Vec::new();
-            for c in wave.clone() {
-                match self.known(c, s) {
-                    Known::Settled(valid) => {
-                        results.insert(c, valid);
-                    }
-                    Known::Pending(parts) => pending.push((c, parts)),
-                }
-            }
-
-            if !pending.is_empty() {
-                let registered = &self.constraints;
-                type Chunk<'a> = Vec<(usize, Vec<(usize, &'a Obligation)>)>;
-                let chunks: Vec<Chunk> = (0..workers)
-                    .map(|w| {
-                        pending
-                            .iter()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(c, parts)| {
-                                let obligations = parts
-                                    .iter()
-                                    .map(|&(p, _)| (p, &registered[*c].parts[p]))
-                                    .collect();
-                                (*c, obligations)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let t0 = Instant::now();
-                type WorkerOutcome = (
-                    Vec<(usize, Vec<(usize, bool)>)>,
-                    u64,
-                    pins_smt::SessionStats,
-                );
-                let outcomes: Vec<Result<WorkerOutcome, ()>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|chunk| {
-                            let mut wctx = ctx.clone();
-                            let mut wsmt = smt.fork();
-                            let filler = &filler;
-                            scope.spawn(move || {
-                                // per-query panic isolation, mirroring the
-                                // serial path: a poisoned query counts as
-                                // unverified and the worker moves on
-                                let mut panics = 0u64;
-                                let out = chunk
-                                    .iter()
-                                    .map(|(c, parts)| {
-                                        let (verdicts, p) = verify_parts(
-                                            &mut wctx, program, &mut wsmt, parts, filler,
-                                        );
-                                        panics += p;
-                                        (*c, verdicts)
-                                    })
-                                    .collect();
-                                (out, panics, wsmt.stats)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().map_err(|_| ()))
-                        .collect()
-                });
-                let dt = t0.elapsed();
-                self.stats.smt_time += dt;
-                self.metrics.smt_time.add_duration(dt);
-                let mut verdicts: HashMap<usize, Vec<(usize, bool)>> = HashMap::new();
-                for (w, outcome) in outcomes.into_iter().enumerate() {
-                    match outcome {
-                        Ok((pairs, panics, wstats)) => {
-                            self.stats.smt_queries += wstats.queries;
-                            self.metrics.smt_queries.add(wstats.queries);
-                            self.stats.worker_queries[w] += wstats.queries;
-                            self.metrics.worker_slot(w).add(wstats.queries);
-                            self.stats.worker_panics += panics;
-                            self.metrics.worker_panics.add(panics);
-                            // fold worker traffic into the parent session so
-                            // its counters stay the single source of truth
-                            smt.stats.absorb(&wstats);
-                            verdicts.extend(pairs);
-                        }
-                        Err(()) => {
-                            // the whole worker died (a panic that escaped
-                            // catch_unwind, e.g. a double panic): degrade its
-                            // entire chunk to unverified rather than abort
-                            self.stats.worker_panics += 1;
-                            self.metrics.worker_panics.inc();
-                            for (c, parts) in &chunks[w] {
-                                verdicts.insert(*c, vec![(parts[0].0, false)]);
-                            }
-                        }
-                    }
-                }
-                for (c, keys) in pending {
-                    let valid = self.record(c, keys, &verdicts[&c]);
-                    results.insert(c, valid);
-                }
-            }
-
-            if let Some(c) = wave.into_iter().find(|c| !results[c]) {
-                return Some(c);
-            }
-        }
-        None
+        self.stats.smt_queries += queries;
+        self.metrics.smt_queries.add(queries);
+        self.stats.verify_panics += panics;
+        self.metrics.verify_panics.add(panics);
+        valid
     }
 
     /// Adds a blocking clause rejecting the restricted assignment of
@@ -644,9 +378,7 @@ impl HoleSolver {
     /// `solve(C, Δp, Δe, m)`).
     ///
     /// `smt` is the engine's persistent session (it already carries the
-    /// library axioms); `workers >= 2` enables the parallel verification
-    /// path, which returns the same solutions in the same order as serial.
-    #[allow(clippy::too_many_arguments)]
+    /// library axioms).
     pub fn solve(
         &mut self,
         ctx: &mut SymCtx,
@@ -655,14 +387,11 @@ impl HoleSolver {
         constraints: &[Constraint],
         m: usize,
         smt: &mut SmtSession,
-        workers: usize,
     ) -> Vec<Solution> {
         if self.stats.smt_queries > 0 || self.stats.candidates_proposed > 0 {
             self.stats.sessions_reused += 1;
             self.metrics.sessions_reused.inc();
         }
-        self.stats.workers = self.stats.workers.max(workers.max(1));
-        self.metrics.workers.record_max(workers.max(1) as u64);
         let before = smt.stats;
         // register any new constraints
         for (idx, constraint) in constraints.iter().enumerate().skip(self.constraints.len()) {
@@ -696,8 +425,11 @@ impl HoleSolver {
                     let s = Self::extract_solution(&snapshot, &self.evars, &self.pvars);
                     self.stats.candidates_proposed += 1;
                     self.metrics.candidates.inc();
-                    if let Some(c) =
-                        self.first_failing(ctx, session, domains, constraints, &s, smt, workers)
+                    // the first failing constraint, in index order, supplies
+                    // the blocking clause
+                    let program = &session.composed;
+                    if let Some(c) = (0..constraints.len())
+                        .find(|&c| !self.verify(ctx, program, c, &s, domains, smt))
                     {
                         self.block(c, &s, true, &mut snapshot);
                         continue;
@@ -723,10 +455,6 @@ impl HoleSolver {
                 }
             }
         }
-        // the session's own counters already include the worker traffic that
-        // `absorb` folded back in, so this delta is identical whether
-        // verification ran serial or parallel — and the registry mirror
-        // therefore is too
         let hits = smt.stats.cache_hits - before.cache_hits;
         let misses = smt.stats.cache_misses - before.cache_misses;
         self.stats.cache_hits += hits;

@@ -10,7 +10,7 @@
 //! 2. **Differential oracles** ([`oracles`]): each oracle checks that two
 //!    independent routes through the stack agree — model evaluation vs SAT
 //!    verdicts, exhaustive enumeration vs UNSAT verdicts, cache vs
-//!    recomputation, serial vs forked-parallel sessions, the concrete
+//!    recomputation, serial vs per-thread sessions, the concrete
 //!    interpreter vs symbolic execution discharged through SMT, and
 //!    budget-degraded runs vs complete runs. Non-definitive results
 //!    (`Unknown`, incomplete `Sat`) are compatible with anything; only

@@ -17,6 +17,7 @@ use pins_ir::{Mode, Type, VarId};
 use pins_logic::TermId;
 use pins_smt::{CoreSlot, QueryCache, Smt, SmtConfig, SmtResult, SmtSession, Verdict};
 use pins_symexec::{EmptyFiller, ExploreConfig, Explorer, SymCtx};
+use pins_trace::MetricsRegistry;
 
 use crate::eval::{check_model, enumerate_sat};
 use crate::genf::{gen_formula, FormulaConfig, GenFormula};
@@ -35,8 +36,8 @@ pub enum OracleKind {
     /// Cached `SmtSession` verdicts must agree with recomputation and with
     /// a fresh one-shot solver (cache-key soundness).
     Cache,
-    /// Serial and forked-parallel query verdicts over the same query list
-    /// must agree elementwise.
+    /// Serial verdicts and verdicts from per-thread sessions sharing one
+    /// query cache, over the same query list, must agree elementwise.
     Parallel,
     /// Concrete `interp` runs vs symbolic path conditions discharged
     /// through the SMT solver: exactly one feasible path, same exit state.
@@ -289,7 +290,9 @@ fn parallel_agreement(d: &mut Decisions) -> OracleOutcome {
         .map(|q| serial_session.verdict_under(&mut f.arena, q))
         .collect();
 
-    let base = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    // one session per thread, all sharing a cache and a metrics registry
+    let cache = Arc::new(QueryCache::new());
+    let registry = MetricsRegistry::new();
     let parallel: Vec<Verdict> = {
         let mut out: Vec<Option<Verdict>> = vec![None; queries.len()];
         let chunks: Vec<Vec<usize>> = (0..workers)
@@ -299,7 +302,8 @@ fn parallel_agreement(d: &mut Decisions) -> OracleOutcome {
             let handles: Vec<_> = chunks
                 .iter()
                 .map(|chunk| {
-                    let mut session = base.fork();
+                    let mut session = SmtSession::with_cache(fuzz_smt_config(), Arc::clone(&cache));
+                    session.bind_metrics(&registry, "parallel");
                     let mut arena = f.arena.clone();
                     let queries = &queries;
                     scope.spawn(move || {
@@ -320,7 +324,7 @@ fn parallel_agreement(d: &mut Decisions) -> OracleOutcome {
         out.into_iter().map(|v| v.unwrap()).collect()
     };
 
-    let violations: Vec<String> = serial
+    let mut violations: Vec<String> = serial
         .iter()
         .zip(&parallel)
         .enumerate()
@@ -333,6 +337,13 @@ fn parallel_agreement(d: &mut Decisions) -> OracleOutcome {
             )
         })
         .collect();
+    let counted = registry.get("parallel.queries");
+    if counted != queries.len() as u64 {
+        violations.push(format!(
+            "shared registry counted {counted} of {} queries",
+            queries.len()
+        ));
+    }
     let detail = verdict_name(*serial.last().expect("at least one assert"));
     if violations.is_empty() {
         OracleOutcome::pass(detail)

@@ -7,7 +7,8 @@ use crate::bench::BenchRow;
 /// Severity of one observed change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Past the threshold — fails the gate.
+    /// Past the threshold, or a deterministic counter that differs from the
+    /// baseline — fails the gate.
     Regression,
     /// Got meaningfully better; informational.
     Improvement,
@@ -30,6 +31,15 @@ pub struct DiffEntry {
     pub delta_pct: Option<f64>,
     /// How the change is classified.
     pub severity: Severity,
+}
+
+impl DiffEntry {
+    /// True when this entry is a deterministic counter that differs from
+    /// the baseline.
+    pub fn is_counter_mismatch(&self) -> bool {
+        self.severity == Severity::Regression
+            && EXACT_COUNTERS.iter().any(|(name, _)| *name == self.metric)
+    }
 }
 
 /// The full comparison: every entry plus overall verdict helpers.
@@ -57,16 +67,30 @@ impl DiffReport {
     }
 }
 
-/// Noise floors: a metric must move by at least this much *absolutely*
-/// before the relative threshold applies. CI machines jitter; a 3 ms → 5 ms
-/// swing on a trivial benchmark is not a 66% regression worth failing on.
+/// Noise floor for `wall_ms`: it must move by at least this much
+/// *absolutely* before the relative threshold applies. CI machines jitter;
+/// a 3 ms → 5 ms swing on a trivial benchmark is not a 66% regression worth
+/// failing on.
 const WALL_MS_FLOOR: f64 = 100.0;
-const QUERY_FLOOR: f64 = 16.0;
+
+/// Reads one counter of a row.
+type CounterOf = fn(&BenchRow) -> u64;
+
+/// Deterministic counters: the same code and configuration reproduce them
+/// exactly on any machine, so a difference from the baseline in either
+/// direction fails the gate.
+const EXACT_COUNTERS: [(&str, CounterOf); 4] = [
+    ("smt_queries", |r| r.smt_queries),
+    ("feasibility_queries", |r| r.feasibility_queries),
+    ("cache_hits", |r| r.cache_hits),
+    ("cache_misses", |r| r.cache_misses),
+];
 
 /// Compares candidate rows against baseline rows. `threshold_pct` is the
-/// allowed relative growth (e.g. `20.0` = +20%); `wall_ms` and
-/// `smt_queries` past it regress, as does any verdict downgrade
-/// (solved → anything else regresses regardless of timing).
+/// allowed relative growth of `wall_ms` (e.g. `20.0` = +20%); past it the
+/// row regresses. The [`EXACT_COUNTERS`] regress on any change, and any
+/// verdict downgrade regresses (solved → anything else, regardless of
+/// timing).
 pub fn diff(old: &[BenchRow], new: &[BenchRow], threshold_pct: f64) -> DiffReport {
     let mut report = DiffReport::default();
     for o in old {
@@ -86,15 +110,9 @@ pub fn diff(old: &[BenchRow], new: &[BenchRow], threshold_pct: f64) -> DiffRepor
             threshold_pct,
             WALL_MS_FLOOR,
         );
-        compare_num(
-            &mut report,
-            &o.benchmark,
-            "smt_queries",
-            o.smt_queries as f64,
-            n.smt_queries as f64,
-            threshold_pct,
-            QUERY_FLOOR,
-        );
+        for (metric, value) in EXACT_COUNTERS {
+            compare_exact(&mut report, &o.benchmark, metric, value(o), value(n));
+        }
     }
     for n in new {
         if !old.iter().any(|o| o.benchmark == n.benchmark) {
@@ -160,6 +178,27 @@ fn compare_num(
     });
 }
 
+fn compare_exact(
+    report: &mut DiffReport,
+    benchmark: &str,
+    metric: &'static str,
+    old: u64,
+    new: u64,
+) {
+    report.entries.push(DiffEntry {
+        benchmark: benchmark.to_string(),
+        metric,
+        old: old.to_string(),
+        new: new.to_string(),
+        delta_pct: (old > 0).then(|| 100.0 * (new as f64 - old as f64) / old as f64),
+        severity: if old == new {
+            Severity::Unchanged
+        } else {
+            Severity::Regression
+        },
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,11 +242,41 @@ mod tests {
 
     #[test]
     fn query_count_growth_regresses() {
+        // any change fails, however small and in either direction
+        for queries in [101, 99] {
+            let old = vec![row("Σi", "solved", 1000.0, 100)];
+            let new = vec![row("Σi", "solved", 1000.0, queries)];
+            let report = diff(&old, &new, 20.0);
+            let r = report.regressions().next().expect("a mismatch fails");
+            assert_eq!(r.metric, "smt_queries");
+            assert!(r.is_counter_mismatch());
+            assert_eq!(report.regressions().count(), 1);
+        }
+    }
+
+    #[test]
+    fn every_deterministic_counter_is_compared_exactly() {
         let old = vec![row("Σi", "solved", 1000.0, 100)];
-        let new = vec![row("Σi", "solved", 1000.0, 150)];
+        let mut new = old.clone();
+        new[0].feasibility_queries = 1;
+        new[0].cache_hits = 1;
+        new[0].cache_misses = 1;
         let report = diff(&old, &new, 20.0);
-        assert!(report.has_regressions());
-        assert_eq!(report.regressions().next().unwrap().metric, "smt_queries");
+        let metrics: Vec<&str> = report.regressions().map(|r| r.metric).collect();
+        assert_eq!(
+            metrics,
+            ["feasibility_queries", "cache_hits", "cache_misses"]
+        );
+        // the rendered report names the counter and the fix
+        let text = crate::render::diff_report(&report, 20.0);
+        assert!(
+            text.contains("MISMATCH: Σi cache_hits"),
+            "rendered:\n{text}"
+        );
+        assert!(
+            text.contains("regenerate ci/BENCH_baseline.json"),
+            "rendered:\n{text}"
+        );
     }
 
     #[test]
@@ -237,12 +306,17 @@ mod tests {
         assert!(text.contains("+inf%"), "rendered:\n{text}");
     }
 
-    /// Zero-baseline growth below the noise floor stays unchanged.
+    /// Zero-baseline wall-time growth below the noise floor stays
+    /// unchanged; a counter growing from zero has no floor.
     #[test]
     fn zero_baseline_jitter_below_the_floor_is_ignored() {
         let old = vec![row("Σi", "solved", 0.0, 0)];
-        let new = vec![row("Σi", "solved", 50.0, 10)];
+        let new = vec![row("Σi", "solved", 50.0, 0)];
         assert!(!diff(&old, &new, 20.0).has_regressions());
+        let new = vec![row("Σi", "solved", 50.0, 10)];
+        let report = diff(&old, &new, 20.0);
+        let metrics: Vec<&str> = report.regressions().map(|r| r.metric).collect();
+        assert_eq!(metrics, ["smt_queries"]);
     }
 
     /// Unmatched benchmarks must surface as a prominent warning in the
@@ -267,7 +341,7 @@ mod tests {
     fn improvements_and_unmatched_rows_do_not_fail_the_gate() {
         let old = vec![row("Σi", "no-solution", 2000.0, 400)];
         let new = vec![
-            row("Σi", "solved", 800.0, 100),
+            row("Σi", "solved", 800.0, 400),
             row("Vector shift", "solved", 100.0, 10),
         ];
         let report = diff(&old, &new, 20.0);

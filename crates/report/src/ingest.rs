@@ -177,7 +177,7 @@ impl Trace {
 
     /// Merges another trace into this one (multi-file ingestion). Events
     /// keep file order; stats are summed and summary declarations added.
-    pub fn absorb(&mut self, other: Trace) {
+    pub fn merge(&mut self, other: Trace) {
         self.events.extend(other.events);
         let s = &mut self.stats;
         let o = other.stats;

@@ -121,7 +121,7 @@ fn run(cli: &Cli) -> Result<i32, String> {
 
     let mut trace = Trace::default();
     for path in &cli.traces {
-        trace.absorb(Trace::from_file(path)?);
+        trace.merge(Trace::from_file(path)?);
     }
 
     if cli.xray {

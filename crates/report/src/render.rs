@@ -156,7 +156,7 @@ pub fn diff_report(report: &DiffReport, threshold_pct: f64) -> String {
     writeln!(s, "== regression diff (threshold {threshold_pct}%) ==").unwrap();
     writeln!(
         s,
-        "{:<24} {:<12} {:>14} {:>14} {:>9}  status",
+        "{:<24} {:<19} {:>14} {:>14} {:>9}  status",
         "benchmark", "metric", "baseline", "candidate", "delta"
     )
     .unwrap();
@@ -169,13 +169,14 @@ pub fn diff_report(report: &DiffReport, threshold_pct: f64) -> String {
             (None, _) => "-".to_string(),
         };
         let status = match e.severity {
+            Severity::Regression if e.is_counter_mismatch() => "MISMATCH",
             Severity::Regression => "REGRESSION",
             Severity::Improvement => "improved",
             Severity::Unchanged => "ok",
         };
         writeln!(
             s,
-            "{:<24} {:<12} {:>14} {:>14} {:>9}  {}",
+            "{:<24} {:<19} {:>14} {:>14} {:>9}  {}",
             e.benchmark, e.metric, e.old, e.new, delta, status
         )
         .unwrap();
@@ -191,6 +192,16 @@ pub fn diff_report(report: &DiffReport, threshold_pct: f64) -> String {
         for u in &report.unmatched {
             writeln!(s, "  {u}").unwrap();
         }
+    }
+    for e in report.entries.iter().filter(|e| e.is_counter_mismatch()) {
+        writeln!(
+            s,
+            "MISMATCH: {} {} is {}, baseline {}. Deterministic counters must \
+             equal the baseline; if the change is deliberate, regenerate \
+             ci/BENCH_baseline.json (table4 --profile --bench-json FILE).",
+            e.benchmark, e.metric, e.new, e.old
+        )
+        .unwrap();
     }
     let n = report.regressions().count();
     if n > 0 {

@@ -37,15 +37,6 @@
 //! `Sat`/`Unknown` ones record their completeness, so replaying a cached
 //! verdict is exactly as trustworthy as re-running the solver with the same
 //! (fingerprinted) configuration.
-//!
-//! # Worker sessions
-//!
-//! [`fork`](SmtSession::fork) clones a session's scope and fingerprint memo
-//! while *sharing* the query cache, which is how the parallel constraint
-//! verifier in `pins-core` gives each worker thread its own session. A fork
-//! must only be used with the arena it was forked against or a clone of it:
-//! [`TermArena`] is append-only, so term ids that existed at fork time stay
-//! valid in clones, which keeps the memoized fingerprints correct.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -695,32 +686,6 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Folds another session's counters into this one (used when joining
-    /// worker sessions back into the parent).
-    pub fn absorb(&mut self, other: &SessionStats) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.sat_resolves += other.sat_resolves;
-        self.retries += other.retries;
-        self.cache_upgrades += other.cache_upgrades;
-        self.unknown_deadline += other.unknown_deadline;
-        self.unknown_cancelled += other.unknown_cancelled;
-        self.unknown_step_limit += other.unknown_step_limit;
-        self.unknown_overflow += other.unknown_overflow;
-        self.miss_first_seen += other.miss_first_seen;
-        self.miss_config_mismatch += other.miss_config_mismatch;
-        self.miss_budget_retry += other.miss_budget_retry;
-        self.miss_near_miss += other.miss_near_miss;
-        self.audit_pairs += other.audit_pairs;
-        self.audit_shared_prefix += other.audit_shared_prefix;
-        self.audit_added += other.audit_added;
-        self.audit_removed += other.audit_removed;
-        self.audit_pure_extensions += other.audit_pure_extensions;
-        self.cores += other.cores;
-        self.cores_inexact += other.cores_inexact;
-    }
-
     /// Bumps the per-reason counter for a final `Unknown` answer.
     fn note_unknown(&mut self, reason: StopReason) {
         match reason {
@@ -776,13 +741,13 @@ impl SessionStats {
 }
 
 /// Registry counter handles a session writes through *at event time*, so
-/// queries issued by forked worker sessions land in the same cells their
-/// parent reads — serial and parallel runs report identical totals by
-/// construction, instead of summing per-worker structs after the fact.
+/// several sessions bound to the same registry and prefix (for example, one
+/// per thread) add into the same cells instead of being summed after the
+/// fact.
 ///
 /// The default handles are detached (not in any registry): sessions always
 /// write through them, and binding just swaps in shared cells.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SessionMetrics {
     queries: Counter,
     cache_hits: Counter,
@@ -815,8 +780,8 @@ struct SessionMetrics {
     /// consecutive queries. Bound as `{prefix}.audit.delta_atoms`.
     audit_delta_atoms: Histogram,
     /// Log-scaled end-to-end query latency (nanoseconds, cache hits
-    /// included). Bound as `{prefix}.query_ns`; forked workers share the
-    /// buckets, so serial and parallel runs fill identical cells.
+    /// included). Bound as `{prefix}.query_ns`; sessions bound to the same
+    /// registry and prefix share the buckets.
     query_ns: Histogram,
     /// Query count per originating [`Phase`] (`{prefix}.queries.phase.{tag}`).
     queries_by_phase: [Counter; PHASES.len()],
@@ -933,7 +898,7 @@ pub struct SmtSession {
     metrics: SessionMetrics,
     /// Where queries come from: the engine mutates this shared context as
     /// the run moves through iterations/phases/paths, and every query span
-    /// and per-phase counter reads it. Forks share the handle.
+    /// and per-phase counter reads it.
     prov: ProvenanceCtx,
     /// The unsat core of the most recent query, when that query was `Unsat`
     /// and core tracking was on (fresh solve or cache hit with a stored
@@ -957,7 +922,7 @@ impl SmtSession {
     }
 
     /// A session over an explicit cache — tests use a private cache for
-    /// isolation; workers share their parent's.
+    /// isolation, and sessions on several threads can share one.
     pub fn with_cache(config: SmtConfig, cache: Arc<QueryCache>) -> SmtSession {
         let config_fp = config_fingerprint(&config);
         SmtSession {
@@ -980,17 +945,16 @@ impl SmtSession {
     }
 
     /// Binds this session's counters to `registry` cells under `prefix`
-    /// (e.g. `"smt"` yields `smt.queries`, `smt.cache_hits`, ...). Forked
-    /// worker sessions inherit the binding, so their traffic lands in the
-    /// same cells at event time; read the totals back with
-    /// [`SessionStats::from_registry`].
+    /// (e.g. `"smt"` yields `smt.queries`, `smt.cache_hits`, ...). Sessions
+    /// bound to the same registry and prefix count into the same cells at
+    /// event time; read the totals back with [`SessionStats::from_registry`].
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry, prefix: &str) {
         self.metrics = SessionMetrics::bind(registry, prefix);
     }
 
     /// Installs the shared provenance context queries are attributed to.
-    /// Forked worker sessions inherit the handle, so the engine's phase and
-    /// iteration updates are visible to every worker's query spans.
+    /// The handle is shared, so the engine's phase and iteration updates are
+    /// visible to this session's query spans.
     pub fn set_provenance(&mut self, prov: ProvenanceCtx) {
         self.prov = prov;
     }
@@ -1075,34 +1039,6 @@ impl SmtSession {
     /// How many scopes are open.
     pub fn depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// A worker session: same scope, memo, and configuration, sharing the
-    /// same cache, with fresh per-session counters. Valid for use with the
-    /// arena this session was used with or any clone of it (term ids are
-    /// stable under cloning because the arena is append-only).
-    pub fn fork(&self) -> SmtSession {
-        SmtSession {
-            config: self.config,
-            config_fp: self.config_fp,
-            assertions: self.assertions.clone(),
-            axioms: self.axioms.clone(),
-            frames: self.frames.clone(),
-            fp_memo: self.fp_memo.clone(),
-            cache: Arc::clone(&self.cache),
-            budget: self.budget.clone(),
-            stats: SessionStats::default(),
-            // shares the parent's registry cells: worker traffic is counted
-            // where the parent (and the harness) reads it
-            metrics: self.metrics.clone(),
-            prov: self.prov.clone(),
-            last_core: None,
-            // the audit baseline carries over: the worker's first query is
-            // measured against the last query before the fork
-            last_ordered: self.last_ordered.clone(),
-            last_sorted: self.last_sorted.clone(),
-            audit_primed: self.audit_primed,
-        }
     }
 
     /// The normalized shape of the current scope plus `assumptions`: every

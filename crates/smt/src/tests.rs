@@ -1060,23 +1060,23 @@ mod session {
     }
 
     #[test]
-    fn forked_sessions_share_the_cache() {
+    fn sessions_over_one_cache_share_verdicts() {
         let mut a = TermArena::new();
         let x = int_var(&mut a, "x");
         let zero = a.mk_int(0);
         let ge0 = a.mk_ge(x, zero);
         let lt0 = a.mk_lt(x, zero);
-        let mut parent = fresh_session();
-        parent.assert(ge0);
-        assert!(parent.is_unsat_under(&mut a, &[lt0]));
+        let mut first = fresh_session();
+        first.assert(ge0);
+        assert!(first.is_unsat_under(&mut a, &[lt0]));
 
-        let mut worker = parent.fork();
-        assert_eq!(worker.assertions(), parent.assertions());
-        // same query through the fork: answered by the shared cache
-        assert!(worker.is_unsat_under(&mut a, &[lt0]));
-        assert_eq!(worker.stats.cache_hits, 1);
-        assert_eq!(worker.stats.cache_misses, 0);
-        assert_eq!(parent.cache().hits(), 1);
+        let mut second = SmtSession::with_cache(cfg(), Arc::clone(first.cache()));
+        second.assert(ge0);
+        // same query through another session: answered by the shared cache
+        assert!(second.is_unsat_under(&mut a, &[lt0]));
+        assert_eq!(second.stats.cache_hits, 1);
+        assert_eq!(second.stats.cache_misses, 0);
+        assert_eq!(first.cache().hits(), 1);
     }
 
     #[test]
@@ -1549,6 +1549,11 @@ mod xray {
         let mut s2 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
         assert!(s2.verdict_under(&mut a, &near).is_sat());
         assert_eq!(s2.stats.miss_near_miss, 1, "{:?}", s2.stats);
+        assert_eq!(
+            MissCause::NearMiss.as_str(),
+            "near_miss",
+            "stable trace tags"
+        );
 
         // a structurally disjoint query shares no atoms: FirstSeen
         let z = int_var(&mut a, "z");
@@ -1595,35 +1600,6 @@ mod xray {
         assert_eq!(s.stats.audit_added, 2);
         assert_eq!(s.stats.audit_removed, 1);
         assert_eq!(s.stats.audit_pure_extensions, 1);
-    }
-
-    /// Forked workers inherit the audit baseline, so a worker's first query
-    /// is measured against the parent's last.
-    #[test]
-    fn forks_inherit_the_audit_baseline() {
-        let mut a = TermArena::new();
-        let x = int_var(&mut a, "x");
-        let zero = a.mk_int(0);
-        let ten = a.mk_int(10);
-        let f1 = a.mk_ge(x, zero);
-        let f2 = a.mk_le(x, ten);
-
-        let mut parent = fresh_session();
-        parent.assert(f1);
-        assert!(parent.verdict_under(&mut a, &[]).is_sat());
-
-        let mut worker = parent.fork();
-        assert!(worker.verdict_under(&mut a, &[f2]).is_sat());
-        assert_eq!(worker.stats.audit_pairs, 1);
-        assert_eq!(worker.stats.audit_shared_prefix, 1);
-        assert_eq!(worker.stats.audit_added, 1);
-
-        // mid-run, the cause-breakdown counters also surfaced per-cause
-        assert_eq!(
-            MissCause::NearMiss.as_str(),
-            "near_miss",
-            "stable trace tags"
-        );
     }
 
     /// `last_unsat_core` is per-query state: a sat query after an unsat one

@@ -2,11 +2,9 @@
 //!
 //! A [`Histogram`] is 64 power-of-two buckets of `AtomicU64` counts behind
 //! an `Arc`, so recording is one relaxed atomic add — no allocation, no
-//! lock — and cloning a handle shares the cells. That sharing is the merge
-//! story for forked verification workers: a worker session's histogram
-//! handle points at the *same* buckets its parent reads, so "merging" is
-//! automatic and serial/parallel runs fill identical cells. An explicit
-//! [`absorb`](Histogram::absorb) exists for combining histograms that were
+//! lock — and cloning a handle shares the cells. Sessions bound to the same
+//! registry key therefore record into the *same* buckets, so "merging" is
+//! automatic. [`HistSnapshot::merge`] combines histograms that were
 //! recorded independently (e.g. one registry per benchmark).
 //!
 //! # Binning
@@ -85,18 +83,6 @@ impl Histogram {
     #[inline]
     pub fn record_duration(&self, d: Duration) {
         self.record(d.as_nanos() as u64);
-    }
-
-    /// Adds every bucket count of `other` into this histogram. Used to
-    /// merge histograms recorded into *different* cells (handles cloned
-    /// from the same registry share cells and need no merging).
-    pub fn absorb(&self, other: &Histogram) {
-        let snap = other.snapshot();
-        for (i, n) in snap.buckets.iter().enumerate() {
-            if *n > 0 {
-                self.cells.buckets[i].fetch_add(*n, Ordering::Relaxed);
-            }
-        }
     }
 
     /// A point-in-time copy of the bucket counts.
@@ -221,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn cloned_handles_share_cells_and_absorb_merges_disjoint_ones() {
+    fn cloned_handles_share_cells_and_snapshots_merge_disjoint_ones() {
         let h = Histogram::detached();
         let clone = h.clone();
         clone.record(10);
@@ -232,8 +218,10 @@ mod tests {
         assert!(!h.same_cells(&other));
         other.record(10);
         other.record(1_000_000);
-        h.absorb(&other);
-        assert_eq!(h.count(), 3);
+        let mut merged = h.snapshot();
+        merged.merge(&other.snapshot());
+        assert_eq!(merged.count(), 3);
+        assert_eq!(h.count(), 1, "merging snapshots leaves the cells alone");
     }
 
     /// An empty histogram must report zero for every quantile, not panic

@@ -11,8 +11,8 @@
 //!   the single source of truth for every statistic the stack reports;
 //!   the legacy `SolveStats` / `SessionStats` / `PinsStats` structs are
 //!   typed views over it. Counter handles are cheap `Arc<AtomicU64>`
-//!   clones, so parallel verification workers bump the *same* cells their
-//!   parent reads — no after-the-fact merging, no drift.
+//!   clones, so every holder of a handle, on any thread, bumps the *same*
+//!   cell the reader sees — no after-the-fact merging, no drift.
 //! * **[`span`]** — RAII spans with monotonic timing and per-thread span
 //!   stacks, so events emitted from worker threads are attributed to the
 //!   worker's own open span rather than whatever the main thread is doing.

@@ -4,12 +4,11 @@
 //! Historically each layer of the stack kept its own stats struct
 //! (`SolveStats` in `pins-core`, `SessionStats` in `pins-smt`,
 //! `PinsStats` on the engine) and counters were hand-copied between them
-//! at layer boundaries — three chances per counter to drift, and parallel
-//! workers' numbers were summed after the fact. A [`MetricsRegistry`]
-//! replaces that: every layer binds cheap [`Counter`] handles to the same
-//! registry and bumps them *at event time*. Those structs still exist, but
-//! as typed views reconstructed from the registry, so serial and parallel
-//! runs report identical totals by construction.
+//! at layer boundaries — three chances per counter to drift. A
+//! [`MetricsRegistry`] replaces that: every layer binds cheap [`Counter`]
+//! handles to the same registry and bumps them *at event time*. Those
+//! structs still exist, but as typed views reconstructed from the registry,
+//! so they agree with it by construction.
 //!
 //! Durations are stored as nanoseconds in ordinary counters under the same
 //! namespace (`phase.symexec`, `phase.sat`, ...); [`MetricsRegistry::add_duration`]
@@ -82,14 +81,14 @@ impl Counter {
 struct Inner {
     cells: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     /// Named log-scaled latency histograms, same sharing discipline as the
-    /// counters: a handle is an `Arc` of the buckets, so forked workers
-    /// holding clones record into the same cells their parent reads.
+    /// counters: a handle is an `Arc` of the buckets, so every clone
+    /// records into the same cells the registry reads.
     hists: Mutex<BTreeMap<String, Histogram>>,
 }
 
 /// A thread-safe registry of named counters. Cloning shares the registry
-/// (it is an `Arc` handle): the engine, the SMT sessions it forks for
-/// worker threads, and the benchmark harness all observe the same cells.
+/// (it is an `Arc` handle): the engine, its SMT sessions, and the benchmark
+/// harness all observe the same cells.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Inner>,

@@ -1,20 +1,25 @@
-//! Integration tests for the incremental solver session: parallel
-//! constraint verification must be observationally identical to serial
-//! solving, the process-wide query cache must actually fire on suite
-//! benchmarks, and the one-call `pins::invert` facade works end to end.
+//! Integration tests for the incremental solver session: synthesis results
+//! stay pinned, concurrent runs sharing the query cache agree with serial
+//! ones, the process-wide query cache actually fires on suite benchmarks,
+//! registry counters agree with the typed stats, and the one-call
+//! `pins::invert` facade works end to end.
 
 use pins::ir::{program_to_string, run, ExternEnv, Store, Value};
 use pins::prelude::*;
 use pins::suite::{benchmark, BenchmarkId};
 
-fn run_with_workers(id: BenchmarkId, workers: usize) -> PinsOutcome {
+fn run_benchmark(id: BenchmarkId, metrics: &MetricsRegistry) -> PinsOutcome {
     let b = benchmark(id);
     let mut session = b.session();
-    let mut config = b.recommended_config();
-    config.verify_workers = workers;
+    let config = b.recommended_config();
+    let budget = Budget::with_limits(config.time_budget, None);
     Pins::new(config)
-        .run(&mut session)
+        .run_with(&mut session, budget, metrics)
         .unwrap_or_else(|e| panic!("{}: synthesis failed: {e}", b.name()))
+}
+
+fn run_fresh(id: BenchmarkId) -> PinsOutcome {
+    run_benchmark(id, &MetricsRegistry::new())
 }
 
 /// The observable result of a run: every surviving inverse, pretty-printed,
@@ -27,20 +32,60 @@ fn rendered(outcome: &PinsOutcome) -> Vec<String> {
         .collect()
 }
 
+/// Serial synthesis reproduces the recorded results: solution count,
+/// iteration count and every rendered inverse (`tests/golden/*.txt`, one
+/// inverse per `----`-separated block).
+#[test]
+fn serial_synthesis_reproduces_the_recorded_inverses() {
+    let cases = [
+        (BenchmarkId::SumI, 2, 8, include_str!("golden/sum_i.txt")),
+        (
+            BenchmarkId::LuDecomp,
+            1,
+            1,
+            include_str!("golden/lu_decomp.txt"),
+        ),
+        (
+            BenchmarkId::Serialize,
+            4,
+            7,
+            include_str!("golden/serialize.txt"),
+        ),
+    ];
+    for (id, solutions, iterations, golden) in cases {
+        let outcome = run_fresh(id);
+        assert_eq!(outcome.solutions.len(), solutions, "{id:?}: solution count");
+        assert_eq!(outcome.iterations, iterations, "{id:?}: iteration count");
+        assert_eq!(
+            rendered(&outcome).join("----\n"),
+            golden,
+            "{id:?}: rendered inverses"
+        );
+    }
+}
+
+/// Synthesis runs on parallel threads, sharing the process-wide query cache
+/// and one metrics registry, find exactly what a lone serial run finds.
 fn assert_parallel_matches_serial(id: BenchmarkId) {
-    let serial = run_with_workers(id, 1);
-    let parallel = run_with_workers(id, 4);
-    assert_eq!(
-        rendered(&serial),
-        rendered(&parallel),
-        "{id:?}: parallel verification changed the solution set"
-    );
-    assert_eq!(
-        serial.iterations, parallel.iterations,
-        "{id:?}: parallel verification changed the iteration count"
-    );
-    assert_eq!(serial.verify_workers, 1);
-    assert_eq!(parallel.verify_workers, 4);
+    let serial = run_fresh(id);
+    let shared = MetricsRegistry::new();
+    let parallel: Vec<PinsOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| scope.spawn(|| run_benchmark(id, &shared)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for outcome in &parallel {
+        assert_eq!(
+            rendered(&serial),
+            rendered(outcome),
+            "{id:?}: a concurrent run changed the solution set"
+        );
+        assert_eq!(
+            serial.iterations, outcome.iterations,
+            "{id:?}: a concurrent run changed the iteration count"
+        );
+    }
 }
 
 #[test]
@@ -54,96 +99,83 @@ fn parallel_matches_serial_on_lu_decomp() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "synthesis is slow without optimizations; run with --release"
-)]
-fn parallel_matches_serial_on_serialize() {
-    assert_parallel_matches_serial(BenchmarkId::Serialize);
-}
-
-#[test]
 fn repeated_runs_hit_the_query_cache() {
     // the normalized-query cache is process-wide: a second identical run
     // must be answered (at least partly) from it
-    let first = run_with_workers(BenchmarkId::SumI, 2);
-    let second = run_with_workers(BenchmarkId::SumI, 2);
+    let first = run_fresh(BenchmarkId::SumI);
+    let second = run_fresh(BenchmarkId::SumI);
     assert_eq!(rendered(&first), rendered(&second));
     assert!(
-        second.smt_cache_hits > 0,
+        second.stats().smt_cache_hits > 0,
         "second run saw no cache hits: {:?}",
         second.stats()
     );
-    assert!(second.smt_cache_misses <= first.smt_cache_misses);
+    assert!(second.stats().smt_cache_misses <= first.stats().smt_cache_misses);
 }
 
 #[test]
 fn registry_totals_match_typed_stats_in_serial_and_parallel() {
     // the drift check: every counter is bumped at event time through shared
-    // registry cells (workers included, via forked sessions), so the
-    // registry view must agree exactly with the typed stats that were
-    // absorbed from the workers after the fact — in both execution modes
-    for workers in [1usize, 4] {
-        let outcome = run_with_workers(BenchmarkId::SumI, workers);
-        let s = outcome.stats();
-        let r = pins::core::PinsStats::from_registry(outcome.metrics());
-        assert_eq!(r.smt_queries, s.smt_queries, "workers={workers}");
-        assert_eq!(r.smt_cache_hits, s.smt_cache_hits, "workers={workers}");
-        assert_eq!(r.smt_cache_misses, s.smt_cache_misses, "workers={workers}");
-        assert_eq!(
-            r.feasibility_queries, s.feasibility_queries,
-            "workers={workers}"
-        );
-        assert_eq!(r.verify_workers, s.verify_workers, "workers={workers}");
-        assert_eq!(r.worker_panics, s.worker_panics, "workers={workers}");
-        assert_eq!(r.sat_size, s.sat_size, "workers={workers}");
-        assert_eq!(
-            r.worker_queries.iter().sum::<u64>(),
-            s.worker_queries.iter().sum::<u64>(),
-            "workers={workers}"
-        );
-        // session-level invariant: every query is either a hit or a miss,
-        // with no worker traffic lost or double-counted in the merge
-        let sess = pins::smt::SessionStats::from_registry(outcome.metrics(), "smt");
-        assert_eq!(
-            sess.cache_hits + sess.cache_misses,
-            sess.queries,
-            "workers={workers}"
-        );
-        assert_eq!(sess.cache_hits, s.smt_cache_hits, "workers={workers}");
-        assert_eq!(sess.cache_misses, s.smt_cache_misses, "workers={workers}");
-    }
+    // registry cells, so the registry view of one run must agree exactly
+    // with its typed stats
+    let outcome = run_fresh(BenchmarkId::SumI);
+    let s = outcome.stats();
+    let r = pins::core::PinsStats::from_registry(outcome.metrics());
+    assert_eq!(r.smt_queries, s.smt_queries);
+    assert_eq!(r.smt_cache_hits, s.smt_cache_hits);
+    assert_eq!(r.smt_cache_misses, s.smt_cache_misses);
+    assert_eq!(r.feasibility_queries, s.feasibility_queries);
+    assert_eq!(r.verify_panics, s.verify_panics);
+    assert_eq!(r.sat_size, s.sat_size);
+    // session-level invariant: every query is either a hit or a miss
+    let sess = pins::smt::SessionStats::from_registry(outcome.metrics(), "smt");
+    assert_eq!(sess.cache_hits + sess.cache_misses, sess.queries);
+    assert_eq!(sess.cache_hits, s.smt_cache_hits);
+    assert_eq!(sess.cache_misses, s.smt_cache_misses);
+
+    // two runs on parallel threads recording into one registry: its cells
+    // hold the sum of both runs, with nothing lost or double-counted
+    let shared = MetricsRegistry::new();
+    let outcomes: Vec<PinsOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| scope.spawn(|| run_benchmark(BenchmarkId::SumI, &shared)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let sum = |f: fn(&pins::core::PinsStats) -> u64| -> u64 {
+        outcomes.iter().map(|o| f(o.stats())).sum()
+    };
+    let r = pins::core::PinsStats::from_registry(&shared);
+    assert_eq!(r.smt_queries, sum(|s| s.smt_queries));
+    assert_eq!(r.smt_cache_hits, sum(|s| s.smt_cache_hits));
+    assert_eq!(r.smt_cache_misses, sum(|s| s.smt_cache_misses));
+    assert_eq!(r.feasibility_queries, sum(|s| s.feasibility_queries));
+    let sess = pins::smt::SessionStats::from_registry(&shared, "smt");
+    assert_eq!(sess.cache_hits + sess.cache_misses, sess.queries);
 }
 
 #[test]
-fn query_latency_histogram_counts_every_query_across_worker_forks() {
-    // the `smt.query_ns` histogram lives in shared cells that forked worker
-    // sessions write through, so its population must equal the query count
-    // in both execution modes — nothing lost or double-counted in the merge
-    for workers in [1usize, 4] {
-        let outcome = run_with_workers(BenchmarkId::SumI, workers);
-        let sess = pins::smt::SessionStats::from_registry(outcome.metrics(), "smt");
-        let lat = outcome.metrics().histogram_snapshot("smt.query_ns");
-        assert_eq!(
-            lat.count(),
-            sess.queries,
-            "workers={workers}: one latency sample per query"
-        );
-        assert!(lat.p50() <= lat.p90() && lat.p90() <= lat.p99());
-        // per-phase duration counters partition the same population
-        let by_phase: u64 = pins::trace::PHASES
-            .iter()
-            .map(|p| pins::smt::SessionStats::phase_queries(outcome.metrics(), "smt", *p))
-            .sum();
-        assert_eq!(by_phase, sess.queries, "workers={workers}");
-    }
+fn query_latency_histogram_counts_every_query() {
+    // the `smt.query_ns` histogram lives in registry cells the session
+    // writes through, so its population must equal the query count
+    let outcome = run_fresh(BenchmarkId::SumI);
+    let sess = pins::smt::SessionStats::from_registry(outcome.metrics(), "smt");
+    let lat = outcome.metrics().histogram_snapshot("smt.query_ns");
+    assert_eq!(lat.count(), sess.queries, "one latency sample per query");
+    assert!(lat.p50() <= lat.p90() && lat.p90() <= lat.p99());
+    // per-phase duration counters partition the same population
+    let by_phase: u64 = pins::trace::PHASES
+        .iter()
+        .map(|p| pins::smt::SessionStats::phase_queries(outcome.metrics(), "smt", *p))
+        .sum();
+    assert_eq!(by_phase, sess.queries);
 }
 
 #[test]
 fn histogram_merge_is_identical_serial_vs_forked_threads() {
     // merge semantics, deterministically: the same sample population must
     // produce bit-identical snapshots whether recorded through one handle
-    // or through clones on racing threads (the fork()-shared-cells model)
+    // or through clones on racing threads (sessions sharing a registry)
     let samples: Vec<u64> = (0..4096u64).map(|i| (i * i * 2654435761) >> 16).collect();
     let serial = pins::trace::Histogram::detached();
     for &s in &samples {
@@ -155,7 +187,7 @@ fn histogram_merge_is_identical_serial_vs_forked_threads() {
     let threads: Vec<_> = samples
         .chunks(1024)
         .map(|chunk| {
-            let handle = shared.clone(); // what SmtSession::fork does
+            let handle = shared.clone(); // what binding to one registry does
             let chunk = chunk.to_vec();
             std::thread::spawn(move || {
                 for s in chunk {
@@ -174,23 +206,24 @@ fn histogram_merge_is_identical_serial_vs_forked_threads() {
     assert_eq!(a.count(), b.count());
     assert_eq!((a.p50(), a.p90(), a.p99()), (b.p50(), b.p90(), b.p99()));
 
-    // absorbing disjoint histograms is equivalent to sharing cells
-    let absorbed = pins::trace::Histogram::detached();
+    // merging snapshots of disjoint histograms is equivalent to sharing cells
+    let mut merged = pins::trace::Histogram::detached().snapshot();
     for chunk in samples.chunks(1024) {
         let part = pins::trace::Histogram::detached();
         for &s in chunk {
             part.record(s);
         }
-        absorbed.absorb(&part);
+        merged.merge(&part.snapshot());
     }
-    assert_eq!(absorbed.snapshot().buckets, a.buckets);
+    assert_eq!(merged.buckets, a.buckets);
 }
 
 #[test]
 fn cache_counters_partition_queries_under_fuzz_load() {
     // adversarial load: a few hundred fuzz-generated formulas, each queried
     // as a growing assumption prefix, the whole batch repeated once, and a
-    // forked worker replaying a slice concurrently. Every query must land in
+    // second session on another thread, sharing the cache and the metric
+    // cells, replaying a slice concurrently. Every query must land in
     // exactly one of {hit, miss} — the partition may not drift under
     // generated (rather than benchmark-shaped) traffic.
     use pins::fuzz::genf::{gen_formula, FormulaConfig};
@@ -221,8 +254,9 @@ fn cache_counters_partition_queries_under_fuzz_load() {
         }
     }
 
-    // a forked worker shares both the cache and the metric cells
-    let mut worker = session.fork();
+    // a second session shares both the cache and the metric cells
+    let mut worker = SmtSession::with_cache(fuzz_smt_config(), Arc::clone(&cache));
+    worker.bind_metrics(&registry, "fuzzload");
     let worker_issued: u64 = std::thread::spawn(move || {
         let mut n = 0u64;
         for seed in 0..20u64 {
