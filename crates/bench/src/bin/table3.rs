@@ -24,31 +24,36 @@ fn main() {
             }
         };
         // "manual": concrete round-trip validation of each surviving solution
-        let mut good = 0;
-        for sol in &outcome.solutions {
-            let ok = (0..4).all(|seed| {
-                [1usize, 3, 5]
-                    .iter()
-                    .all(|&size| b.round_trip(&sol.inverse, seed, size).unwrap_or(false))
-            });
-            if ok {
-                good += 1;
-            }
-        }
+        let correct: Vec<bool> = outcome
+            .solutions
+            .iter()
+            .map(|sol| {
+                (0..4).all(|seed| {
+                    [1usize, 3, 5]
+                        .iter()
+                        .all(|&size| b.round_trip(&sol.inverse, seed, size).unwrap_or(false))
+                })
+            })
+            .collect();
+        let good = correct.iter().filter(|&&ok| ok).count();
         let manual = format!("{good} of {}", outcome.solutions.len());
         // BMC on the first correct solution
         let session = b.session();
-        let first = &outcome.solutions[0].inverse;
         let bmc_cfg = BmcConfig {
             unroll: 4,
             input_bound: 3,
             ..BmcConfig::default()
         };
-        let bmc = check_inverse(&session, first, bmc_cfg);
-        let bmc_str = if bmc.verified {
-            secs(bmc.time)
-        } else {
-            format!("cex({})", secs(bmc.time))
+        let bmc_str = match correct.iter().position(|&ok| ok) {
+            Some(i) => {
+                let bmc = check_inverse(&session, &outcome.solutions[i].inverse, bmc_cfg);
+                if bmc.verified {
+                    secs(bmc.time)
+                } else {
+                    format!("cex({})", secs(bmc.time))
+                }
+            }
+            None => "none correct".to_string(),
         };
         // CEGIS with a bounded battery
         let env = b.extern_env();

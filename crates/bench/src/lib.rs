@@ -188,7 +188,10 @@ pub fn run_pins(b: &Benchmark, args: &HarnessArgs) -> Result<PinsOutcome, PinsEr
 
 /// Like [`run_pins`] but records into a caller-owned [`MetricsRegistry`],
 /// which keeps the phase timings and query counters readable even when the
-/// run fails (the profile report needs them for unsolved rows too).
+/// run fails (the profile report needs them for unsolved rows too). The
+/// root budget's step count goes in as `budget.steps`: every pivot, SAT
+/// conflict, branch-and-bound node and instantiation round charges it, so
+/// equal counts mean the solver did the same work.
 pub fn run_pins_with(
     b: &Benchmark,
     args: &HarnessArgs,
@@ -216,7 +219,9 @@ pub fn run_pins_with(
         config.explore.smt.retry_unknown = false;
     }
     let budget = pins_budget::Budget::with_limits(config.time_budget, None);
-    Pins::new(config).run_with(&mut session, budget, metrics)
+    let result = Pins::new(config).run_with(&mut session, budget.clone(), metrics);
+    metrics.add("budget.steps", budget.steps());
+    result
 }
 
 /// Formats a duration in seconds with two decimals.
@@ -254,6 +259,8 @@ pub mod profile {
         pub cache_hits: u64,
         /// Normalized-query cache misses on the engine session.
         pub cache_misses: u64,
+        /// Steps charged to the run's root budget.
+        pub budget_steps: u64,
         /// Median SMT validity-query latency in microseconds (log-bucket
         /// midpoint from the `smt.query_ns` histogram; 0 when no queries).
         pub query_p50_us: f64,
@@ -292,6 +299,7 @@ pub mod profile {
                 feasibility_queries: s.feasibility_queries,
                 cache_hits: s.smt_cache_hits,
                 cache_misses: s.smt_cache_misses,
+                budget_steps: registry.get("budget.steps"),
                 query_p50_us: us(lat.p50()),
                 query_p90_us: us(lat.p90()),
                 query_p99_us: us(lat.p99()),
@@ -312,13 +320,14 @@ pub mod profile {
                 print!("  {name} {:.1}ms ({})", v, pct(*v));
             }
             println!(
-                "  wall {:.1}ms  queries {} smt / {} feas, cache {}/{}, \
+                "  wall {:.1}ms  queries {} smt / {} feas, cache {}/{}, steps {}, \
                  query p50/p90/p99 {:.0}/{:.0}/{:.0}us",
                 self.wall_ms,
                 self.smt_queries,
                 self.feasibility_queries,
                 self.cache_hits,
                 self.cache_misses,
+                self.budget_steps,
                 self.query_p50_us,
                 self.query_p90_us,
                 self.query_p99_us
@@ -345,12 +354,13 @@ pub mod profile {
             write!(
                 s,
                 "}},\"smt_queries\":{},\"feasibility_queries\":{},\
-                 \"cache_hits\":{},\"cache_misses\":{},\
+                 \"cache_hits\":{},\"cache_misses\":{},\"budget_steps\":{},\
                  \"query_p50_us\":{:.3},\"query_p90_us\":{:.3},\"query_p99_us\":{:.3}}}",
                 self.smt_queries,
                 self.feasibility_queries,
                 self.cache_hits,
                 self.cache_misses,
+                self.budget_steps,
                 self.query_p50_us,
                 self.query_p90_us,
                 self.query_p99_us

@@ -24,6 +24,8 @@ pub struct BenchRow {
     pub cache_hits: u64,
     /// Normalized-query cache misses.
     pub cache_misses: u64,
+    /// Steps charged to the run's root budget.
+    pub budget_steps: u64,
     /// Median query latency (µs), 0 when absent.
     pub query_p50_us: f64,
     /// 90th-percentile query latency (µs).
@@ -66,6 +68,7 @@ pub fn parse(text: &str) -> Result<Vec<BenchRow>, String> {
             feasibility_queries: num("feasibility_queries") as u64,
             cache_hits: num("cache_hits") as u64,
             cache_misses: num("cache_misses") as u64,
+            budget_steps: num("budget_steps") as u64,
             query_p50_us: num("query_p50_us"),
             query_p90_us: num("query_p90_us"),
             query_p99_us: num("query_p99_us"),
@@ -90,7 +93,7 @@ mod tests {
             r#"[
               {"benchmark":"Σi","verdict":"solved","wall_ms":12.5,
                "phase_ms":{"symexec":6.0,"sat":1.0},
-               "smt_queries":40,"query_p50_us":96.0},
+               "smt_queries":40,"budget_steps":7,"query_p50_us":96.0},
               {"benchmark":"Old row"},
               {"not_a_row":true}
             ]"#,
@@ -99,6 +102,8 @@ mod tests {
         assert_eq!(rows.len(), 2, "nameless rows are dropped");
         assert_eq!(rows[0].benchmark, "Σi");
         assert_eq!(rows[0].smt_queries, 40);
+        assert_eq!(rows[0].budget_steps, 7);
+        assert_eq!(rows[1].budget_steps, 0, "older rows have no step count");
         assert_eq!(rows[0].phase_ms.len(), 2);
         assert_eq!(rows[1].wall_ms, 0.0);
         assert_eq!(rows[1].query_p99_us, 0.0);

@@ -79,11 +79,12 @@ type CounterOf = fn(&BenchRow) -> u64;
 /// Deterministic counters: the same code and configuration reproduce them
 /// exactly on any machine, so a difference from the baseline in either
 /// direction fails the gate.
-const EXACT_COUNTERS: [(&str, CounterOf); 4] = [
+const EXACT_COUNTERS: [(&str, CounterOf); 5] = [
     ("smt_queries", |r| r.smt_queries),
     ("feasibility_queries", |r| r.feasibility_queries),
     ("cache_hits", |r| r.cache_hits),
     ("cache_misses", |r| r.cache_misses),
+    ("budget_steps", |r| r.budget_steps),
 ];
 
 /// Compares candidate rows against baseline rows. `threshold_pct` is the
@@ -261,11 +262,17 @@ mod tests {
         new[0].feasibility_queries = 1;
         new[0].cache_hits = 1;
         new[0].cache_misses = 1;
+        new[0].budget_steps = 1;
         let report = diff(&old, &new, 20.0);
         let metrics: Vec<&str> = report.regressions().map(|r| r.metric).collect();
         assert_eq!(
             metrics,
-            ["feasibility_queries", "cache_hits", "cache_misses"]
+            [
+                "feasibility_queries",
+                "cache_hits",
+                "cache_misses",
+                "budget_steps"
+            ]
         );
         // the rendered report names the counter and the fix
         let text = crate::render::diff_report(&report, 20.0);

@@ -83,8 +83,32 @@ struct Bound {
 #[derive(Debug, Clone)]
 struct Row {
     basic: usize,
-    /// `basic = sum coeffs[j] * x_j` over non-basic `j`.
-    coeffs: HashMap<usize, Rat>,
+    /// `basic = sum coeffs[j] * x_j` over non-basic `j`, sorted by `j`,
+    /// with no zero coefficients.
+    coeffs: Vec<(usize, Rat)>,
+}
+
+impl Row {
+    fn coeff(&self, v: usize) -> Option<Rat> {
+        self.coeffs
+            .binary_search_by_key(&v, |&(u, _)| u)
+            .ok()
+            .map(|i| self.coeffs[i].1)
+    }
+}
+
+/// Adds row `i` to a column's ascending row list.
+fn col_insert(col: &mut Vec<usize>, i: usize) {
+    if let Err(pos) = col.binary_search(&i) {
+        col.insert(pos, i);
+    }
+}
+
+/// Removes row `i` from a column's ascending row list.
+fn col_remove(col: &mut Vec<usize>, i: usize) {
+    if let Ok(pos) = col.binary_search(&i) {
+        col.remove(pos);
+    }
 }
 
 /// An incremental linear-integer-arithmetic solver.
@@ -94,6 +118,15 @@ struct Row {
 /// [`Lia::check_int`]. Bound assertions and checks return [`Conflict`]s:
 /// either infeasibility *explanations* (sets of reason tags whose bounds
 /// are jointly integer-infeasible) or an early stop.
+///
+/// The tableau is sparse: each row keeps its non-zero coefficients sorted
+/// by variable, and a column index lists, per non-basic variable, the rows
+/// that mention it. Bound updates and pivots touch only those rows, and a
+/// pivot substitutes into each of them with one sorted merge. Pivot choice
+/// (Bland's rule) and the arithmetic are exact and independent of storage
+/// order, so the representation changes only the time a check takes.
+/// A solver that returned [`Conflict::Stopped`] may be left mid-pivot and
+/// must be discarded.
 #[derive(Debug, Clone, Default)]
 pub struct Lia {
     values: Vec<Rat>,
@@ -102,11 +135,18 @@ pub struct Lia {
     rows: Vec<Row>,
     /// var -> row index if basic
     row_of: Vec<Option<usize>>,
+    /// var -> ascending indices of the rows whose coefficients mention it
+    /// (empty for basic variables)
+    cols: Vec<Vec<usize>>,
     /// memo: normalised expression -> slack var
     slack_of: HashMap<Vec<(usize, i64)>, usize>,
-    /// inverse of `slack_of`, used for GCD bound tightening
-    expr_of_slack: HashMap<usize, Vec<(usize, i64)>>,
+    /// every slack with its normalised expression, in creation (and so
+    /// ascending variable) order; used for GCD bound tightening
+    expr_of_slack: Vec<(usize, Vec<(usize, i64)>)>,
     next_marker: Reason,
+    /// Pivots performed, including those of abandoned branch-and-bound
+    /// branches.
+    pivots: u64,
     /// Work budget charged per pivot and per branch-and-bound node. Clones
     /// (including branch-and-bound's) share the same counters.
     budget: Budget,
@@ -136,6 +176,7 @@ impl Lia {
         self.lower.push(None);
         self.upper.push(None);
         self.row_of.push(None);
+        self.cols.push(Vec::new());
         v
     }
 
@@ -149,6 +190,11 @@ impl Lia {
         self.values[v]
     }
 
+    /// Pivots performed so far.
+    pub fn pivots(&self) -> u64 {
+        self.pivots
+    }
+
     /// Returns the slack variable standing for the linear expression, creating
     /// its defining row on first use. `expr` maps variables to coefficients;
     /// it must be non-empty and is normalised by sorting.
@@ -160,31 +206,41 @@ impl Lia {
         }
         let s = self.new_var();
         // express the row over non-basic variables only
-        let mut coeffs: HashMap<usize, Rat> = HashMap::new();
+        let mut terms: Vec<(usize, Rat)> = Vec::new();
         for &(v, c) in &key {
             let c = Rat::from_int(c);
-            if let Some(r) = self.row_of[v] {
-                for (&u, &cu) in &self.rows[r].coeffs {
-                    let e = coeffs.entry(u).or_insert(Rat::ZERO);
-                    *e = add(*e, mul(c, cu)?)?;
+            match self.row_of[v] {
+                Some(r) => {
+                    for &(u, cu) in &self.rows[r].coeffs {
+                        terms.push((u, mul(c, cu)?));
+                    }
                 }
-            } else {
-                let e = coeffs.entry(v).or_insert(Rat::ZERO);
-                *e = add(*e, c)?;
+                None => terms.push((v, c)),
             }
         }
-        coeffs.retain(|_, c| !c.is_zero());
+        terms.sort_by_key(|&(u, _)| u);
+        let mut coeffs: Vec<(usize, Rat)> = Vec::with_capacity(terms.len());
+        for (u, c) in terms {
+            match coeffs.last_mut() {
+                Some((last, acc)) if *last == u => *acc = add(*acc, c)?,
+                _ => coeffs.push((u, c)),
+            }
+        }
+        coeffs.retain(|&(_, c)| !c.is_zero());
         // value of the slack = current value of the expression
         let mut val = Rat::ZERO;
-        for (&u, &cu) in &coeffs {
+        for &(u, cu) in &coeffs {
             val = add(val, mul(cu, self.values[u])?)?;
         }
         self.values[s] = val;
         let row_idx = self.rows.len();
+        for &(u, _) in &coeffs {
+            self.cols[u].push(row_idx); // the newest row has the largest index
+        }
         self.rows.push(Row { basic: s, coeffs });
         self.row_of[s] = Some(row_idx);
         self.slack_of.insert(key.clone(), s);
-        self.expr_of_slack.insert(s, key);
+        self.expr_of_slack.push((s, key));
         Ok(s)
     }
 
@@ -193,21 +249,14 @@ impl Lia {
     /// rounded inward to multiples of `g`. Detects e.g. `2x - 2y = 1`
     /// directly, which plain branch-and-bound diverges on.
     fn gcd_tighten(&mut self) -> Result<(), Conflict> {
-        let mut slacks: Vec<(usize, u128)> = self
-            .expr_of_slack
-            .iter()
-            .map(|(&s, expr)| {
-                let mut g: u128 = 0;
-                for &(_, c) in expr {
-                    g = gcd_u128(g, (c as i128).unsigned_abs());
-                }
-                (s, g)
-            })
-            .collect();
-        // tightening can pivot, so its order shapes the final vertex: keep
-        // it independent of the hash map's per-process iteration order
-        slacks.sort_unstable();
-        for (s, g) in slacks {
+        // tightening can pivot, so its order shapes the final vertex: it
+        // runs in ascending slack order
+        for k in 0..self.expr_of_slack.len() {
+            let s = self.expr_of_slack[k].0;
+            let g = self.expr_of_slack[k]
+                .1
+                .iter()
+                .fold(0, |g, &(_, c)| gcd_u128(g, (c as i128).unsigned_abs()));
             if g <= 1 {
                 continue;
             }
@@ -270,16 +319,26 @@ impl Lia {
         Ok(())
     }
 
+    /// Adds `coeff(x) * delta` to the basic variable of every row that
+    /// mentions `x`, except row `skip`.
+    fn shift_basics(&mut self, x: usize, delta: Rat, skip: Option<usize>) -> Result<(), Conflict> {
+        for &i in &self.cols[x] {
+            if Some(i) == skip {
+                continue;
+            }
+            let row = &self.rows[i];
+            let c = row
+                .coeff(x)
+                .expect("column index lists only rows mentioning the variable");
+            self.values[row.basic] = add(self.values[row.basic], mul(c, delta)?)?;
+        }
+        Ok(())
+    }
+
     fn update_nonbasic(&mut self, v: usize, c: Rat) -> Result<(), Conflict> {
         let delta = sub(c, self.values[v])?;
         self.values[v] = c;
-        for i in 0..self.rows.len() {
-            if let Some(&coeff) = self.rows[i].coeffs.get(&v) {
-                let b = self.rows[i].basic;
-                self.values[b] = add(self.values[b], mul(coeff, delta)?)?;
-            }
-        }
-        Ok(())
+        self.shift_basics(v, delta, None)
     }
 
     fn violation(&self) -> Option<(usize, bool)> {
@@ -318,29 +377,18 @@ impl Lia {
             } else {
                 self.upper[xi].unwrap().value
             };
-            // find pivot column (Bland: smallest suitable non-basic var)
-            let mut pivot: Option<usize> = None;
-            {
-                let row = &self.rows[r];
-                let mut cands: Vec<usize> = row.coeffs.keys().copied().collect();
-                cands.sort_unstable();
-                for j in cands {
-                    let a = row.coeffs[&j];
-                    let suitable = if below {
-                        (a > Rat::ZERO && self.upper[j].is_none_or(|ub| self.values[j] < ub.value))
-                            || (a < Rat::ZERO
-                                && self.lower[j].is_none_or(|lb| self.values[j] > lb.value))
-                    } else {
-                        (a < Rat::ZERO && self.upper[j].is_none_or(|ub| self.values[j] < ub.value))
-                            || (a > Rat::ZERO
-                                && self.lower[j].is_none_or(|lb| self.values[j] > lb.value))
-                    };
-                    if suitable {
-                        pivot = Some(j);
-                        break;
-                    }
-                }
-            }
+            // find pivot column (Bland: smallest suitable non-basic var;
+            // the row is sorted by variable)
+            let pivot = self.rows[r].coeffs.iter().find_map(|&(j, a)| {
+                let can_rise = self.upper[j].is_none_or(|ub| self.values[j] < ub.value);
+                let can_fall = self.lower[j].is_none_or(|lb| self.values[j] > lb.value);
+                let suitable = if below {
+                    (a > Rat::ZERO && can_rise) || (a < Rat::ZERO && can_fall)
+                } else {
+                    (a < Rat::ZERO && can_rise) || (a > Rat::ZERO && can_fall)
+                };
+                suitable.then_some(j)
+            });
             match pivot {
                 Some(xj) => self.pivot_and_update(r, xi, xj, target)?,
                 None => {
@@ -348,7 +396,7 @@ impl Lia {
                     let mut expl = Vec::new();
                     if below {
                         expl.push(self.lower[xi].unwrap().reason);
-                        for (&j, &a) in &self.rows[r].coeffs {
+                        for &(j, a) in &self.rows[r].coeffs {
                             if a > Rat::ZERO {
                                 expl.push(self.upper[j].expect("bound must exist").reason);
                             } else {
@@ -357,7 +405,7 @@ impl Lia {
                         }
                     } else {
                         expl.push(self.upper[xi].unwrap().reason);
-                        for (&j, &a) in &self.rows[r].coeffs {
+                        for &(j, a) in &self.rows[r].coeffs {
                             if a > Rat::ZERO {
                                 expl.push(self.lower[j].expect("bound must exist").reason);
                             } else {
@@ -381,50 +429,72 @@ impl Lia {
         xj: usize,
         target: Rat,
     ) -> Result<(), Conflict> {
-        let a_ij = self.rows[r].coeffs[&xj];
+        self.pivots += 1;
+        let a_ij = self.rows[r].coeff(xj).expect("pivot column is in the row");
         let theta = div(sub(target, self.values[xi])?, a_ij)?;
         self.values[xi] = target;
-        let old_xj = self.values[xj];
-        self.values[xj] = add(old_xj, theta)?;
-        for i in 0..self.rows.len() {
-            let b = self.rows[i].basic;
-            if b != xi {
-                if let Some(&c) = self.rows[i].coeffs.get(&xj) {
-                    self.values[b] = add(self.values[b], mul(c, theta)?)?;
-                }
-            }
-        }
+        self.values[xj] = add(self.values[xj], theta)?;
+        self.shift_basics(xj, theta, Some(r))?;
         // rewrite row r: xi = a_ij * xj + rest  =>  xj = (xi - rest) / a_ij
-        let mut new_coeffs: HashMap<usize, Rat> = HashMap::new();
         let inv = a_ij.checked_recip().ok_or(OVERFLOW)?;
-        new_coeffs.insert(xi, inv);
-        let old = self.rows[r].coeffs.clone();
-        for (&k, &c) in &old {
+        let old = std::mem::take(&mut self.rows[r].coeffs);
+        let mut subst: Vec<(usize, Rat)> = Vec::with_capacity(old.len());
+        for &(k, c) in &old {
             if k != xj {
-                new_coeffs.insert(k, div(c, a_ij)?.checked_neg().ok_or(OVERFLOW)?);
+                subst.push((k, div(c, a_ij)?.checked_neg().ok_or(OVERFLOW)?));
             }
         }
-        new_coeffs.retain(|_, c| !c.is_zero());
-        self.rows[r] = Row {
-            basic: xj,
-            coeffs: new_coeffs,
-        };
+        let at = subst.partition_point(|&(k, _)| k < xi);
+        subst.insert(at, (xi, inv));
         self.row_of[xi] = None;
         self.row_of[xj] = Some(r);
-        // substitute xj in all other rows
-        let subst = self.rows[r].coeffs.clone();
-        for i in 0..self.rows.len() {
+        self.rows[r].basic = xj;
+        col_insert(&mut self.cols[xi], r);
+        // substitute xj in every other row that mentions it; afterwards no
+        // row does, so its column empties
+        let touched = std::mem::take(&mut self.cols[xj]);
+        let mut merged: Vec<(usize, Rat)> = Vec::new();
+        for i in touched {
             if i == r {
                 continue;
             }
-            if let Some(c) = self.rows[i].coeffs.remove(&xj) {
-                for (&k, &ck) in &subst {
-                    let e = self.rows[i].coeffs.entry(k).or_insert(Rat::ZERO);
-                    *e = add(*e, mul(c, ck)?)?;
+            let c = self.rows[i]
+                .coeff(xj)
+                .expect("column index lists only rows mentioning the variable");
+            let row = &mut self.rows[i].coeffs;
+            merged.clear();
+            let (mut a, mut b) = (0, 0);
+            while a < row.len() || b < subst.len() {
+                let ka = row.get(a).map_or(usize::MAX, |e| e.0);
+                let kb = subst.get(b).map_or(usize::MAX, |e| e.0);
+                if ka == xj {
+                    a += 1;
+                } else if ka < kb {
+                    merged.push(row[a]);
+                    a += 1;
+                } else if kb < ka {
+                    // both factors are non-zero, so the new entry is too
+                    merged.push((kb, mul(c, subst[b].1)?));
+                    col_insert(&mut self.cols[kb], i);
+                    b += 1;
+                } else {
+                    let v = add(row[a].1, mul(c, subst[b].1)?)?;
+                    if v.is_zero() {
+                        col_remove(&mut self.cols[ka], i);
+                    } else {
+                        merged.push((ka, v));
+                    }
+                    a += 1;
+                    b += 1;
                 }
-                self.rows[i].coeffs.retain(|_, v| !v.is_zero());
             }
+            // exact growth: a doubled buffer per row would cost memory in
+            // every branch-and-bound clone
+            row.clear();
+            row.reserve_exact(merged.len());
+            row.extend_from_slice(&merged);
         }
+        self.rows[r].coeffs = subst;
         Ok(())
     }
 
@@ -453,6 +523,7 @@ impl Lia {
         let left_result = left
             .assert_upper(x, Rat::from_int128(val.floor()), marker)
             .and_then(|()| left.check_int(max_depth - 1));
+        self.pivots = left.pivots;
         match left_result {
             Ok(()) => {
                 *self = left;
@@ -467,6 +538,7 @@ impl Lia {
                 let right_result = right
                     .assert_lower(x, Rat::from_int128(val.ceil()), marker)
                     .and_then(|()| right.check_int(max_depth - 1));
+                self.pivots = right.pivots;
                 match right_result {
                     Ok(()) => {
                         *self = right;
@@ -492,9 +564,193 @@ impl Lia {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pins_prng::SplitMix64;
 
     fn r(v: i64) -> Rat {
         Rat::from_int(v)
+    }
+
+    impl Lia {
+        /// Checks the tableau's structural invariants: rows sorted and
+        /// zero-free over non-basic variables, `row_of` and the column index
+        /// consistent with the rows, and every basic value equal to its
+        /// row's value.
+        fn assert_invariants(&self) {
+            let mut cols = vec![Vec::new(); self.num_vars()];
+            for (i, row) in self.rows.iter().enumerate() {
+                assert_eq!(self.row_of[row.basic], Some(i), "row {i}'s basic");
+                assert!(
+                    row.coeffs.windows(2).all(|w| w[0].0 < w[1].0),
+                    "row {i} is not strictly sorted: {:?}",
+                    row.coeffs
+                );
+                let mut val = Rat::ZERO;
+                for &(j, c) in &row.coeffs {
+                    assert!(!c.is_zero(), "row {i} stores a zero for x{j}");
+                    assert!(self.row_of[j].is_none(), "row {i} mentions basic x{j}");
+                    cols[j].push(i);
+                    val = val + c * self.values[j];
+                }
+                assert_eq!(self.values[row.basic], val, "row {i}'s basic value");
+            }
+            assert_eq!(self.cols, cols, "column index does not match the rows");
+        }
+    }
+
+    /// A random tableau: `n` integer variables, slack rows over them, and
+    /// bounds `(variable, is_lower, value)` whose reason tag is their index.
+    struct Tableau {
+        n: usize,
+        exprs: Vec<Vec<(usize, i64)>>,
+        specs: Vec<(usize, bool, i64)>,
+    }
+
+    impl Tableau {
+        /// 6–10 variables, 8–16 slack rows over 2–4 of them with
+        /// coefficients in [-3, 3], and random bounds on variables and
+        /// slacks.
+        fn random(seed: u64) -> Tableau {
+            let mut rng = SplitMix64::new(0x51ea_0000 + seed);
+            let n = rng.gen_range_inclusive(6..=10) as usize;
+            let mut exprs = Vec::new();
+            for _ in 0..rng.gen_range_inclusive(8..=16) {
+                let mut vars: Vec<usize> = (0..n).collect();
+                rng.shuffle(&mut vars);
+                let width = rng.gen_range_inclusive(2..=4) as usize;
+                let expr: Vec<(usize, i64)> = vars[..width]
+                    .iter()
+                    .map(|&v| {
+                        let c = rng.gen_range_inclusive(1..=3);
+                        (v, if rng.gen_bool(0.5) { c } else { -c })
+                    })
+                    .collect();
+                exprs.push(expr);
+            }
+            let mut t = Tableau {
+                n,
+                exprs,
+                specs: Vec::new(),
+            };
+            // the slacks follow the n variables, one per distinct expression
+            for v in 0..t.build().num_vars() {
+                let (span, p) = if v < n { (6, 0.6) } else { (12, 0.35) };
+                let lo = rng.gen_range_inclusive(-span..=span);
+                if rng.gen_bool(p) {
+                    t.specs.push((v, true, lo));
+                }
+                if rng.gen_bool(p) {
+                    t.specs
+                        .push((v, false, lo + rng.gen_range_inclusive(0..=span)));
+                }
+            }
+            rng.shuffle(&mut t.specs);
+            t
+        }
+
+        /// A fresh solver holding the variables and slack rows.
+        fn build(&self) -> Lia {
+            let mut lia = Lia::new();
+            for _ in 0..self.n {
+                lia.new_var();
+            }
+            for e in &self.exprs {
+                lia.slack_for(e).unwrap();
+            }
+            lia
+        }
+
+        /// Asserts the bounds whose tag `keep` accepts on a fresh solver,
+        /// stopping at the first conflict, then runs branch-and-bound.
+        fn solve(&self, keep: impl Fn(Reason) -> bool) -> (Lia, Result<(), Conflict>) {
+            let mut lia = self.build();
+            for (tag, &(v, lower, c)) in self.specs.iter().enumerate() {
+                let tag = tag as Reason;
+                if !keep(tag) {
+                    continue;
+                }
+                let res = if lower {
+                    lia.assert_lower(v, r(c), tag)
+                } else {
+                    lia.assert_upper(v, r(c), tag)
+                };
+                lia.assert_invariants();
+                if res.is_err() {
+                    return (lia, res);
+                }
+            }
+            let res = lia.check_int(40);
+            (lia, res)
+        }
+    }
+
+    #[test]
+    fn random_tableaux_give_valid_models_and_explanations() {
+        let (mut sat, mut unsat) = (0, 0);
+        for seed in 0..crate::tests::cases(300, 3000) as u64 {
+            let t = Tableau::random(seed);
+            let (lia, res) = t.solve(|_| true);
+            lia.assert_invariants();
+            match res {
+                Ok(()) => {
+                    sat += 1;
+                    for &(v, lower, c) in &t.specs {
+                        let val = lia.value(v);
+                        assert!(
+                            if lower { val >= r(c) } else { val <= r(c) },
+                            "seed {seed}: x{v} = {val} breaks {}{c}",
+                            if lower { ">=" } else { "<=" }
+                        );
+                    }
+                    for (s, expr) in &lia.expr_of_slack {
+                        let sum = expr
+                            .iter()
+                            .fold(Rat::ZERO, |acc, &(v, c)| acc + r(c) * lia.value(v));
+                        assert_eq!(lia.value(*s), sum, "seed {seed}: slack x{s}");
+                    }
+                    if !lia.int_incomplete {
+                        assert!((0..lia.num_vars()).all(|v| lia.value(v).is_integer()));
+                    }
+                }
+                Err(Conflict::Infeasible(expl)) => {
+                    unsat += 1;
+                    assert!(expl.iter().all(|&tag| (tag as usize) < t.specs.len()));
+                    let (_, res) = t.solve(|tag| expl.contains(&tag));
+                    assert!(
+                        matches!(res, Err(Conflict::Infeasible(_))),
+                        "seed {seed}: explanation {expl:?} alone gave {res:?}"
+                    );
+                }
+                Err(Conflict::Stopped(s)) => panic!("seed {seed}: unexpected stop {s}"),
+            }
+        }
+        assert!(sat > 0 && unsat > 0, "{sat} feasible, {unsat} infeasible");
+    }
+
+    #[test]
+    fn random_tableaux_pivot_exactly_as_recorded() {
+        // pivot counts and final assignments recorded from the hash-map
+        // tableau this one replaced; the sparse rows must not move them
+        let recorded: [(u64, u64, &str); 3] = [
+            (1, 23, "3 -9 3 0 -2 -1 -1 -19 2 -6 -8 6 -33 -4 0 4"),
+            (
+                7,
+                13,
+                "3 1 3 0 6 -6 -5 2 2 -18 -2 -12 5 12 -11 3 -3 15 -23 -8 6 7 -10 -4",
+            ),
+            (38, 16, "2 0 6 -2 -4 3 5 0 4 -4 2 7 1 3 -4 14 -9"),
+        ];
+        for (seed, pivots, assignment) in recorded {
+            let (lia, res) = Tableau::random(seed).solve(|_| true);
+            assert!(res.is_ok(), "seed {seed}: {res:?}");
+            let got: Vec<String> = (0..lia.num_vars())
+                .map(|v| lia.value(v).to_string())
+                .collect();
+            assert_eq!(
+                (lia.pivots(), got.join(" ").as_str()),
+                (pivots, assignment),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -132,6 +132,9 @@ pub struct SmtStats {
     pub lia_time: Duration,
     /// Time in congruence-aware e-matching rounds.
     pub ematch_time: Duration,
+    /// Simplex pivots, including those of abandoned branch-and-bound
+    /// branches.
+    pub lia_pivots: u64,
 }
 
 enum Outcome {
@@ -187,6 +190,13 @@ pub struct Smt {
     mbtc_done: HashSet<(TermId, TermId)>,
     ematch_done: HashSet<(TermId, Vec<TermId>)>,
     ematch_count: usize,
+    /// Linear form (`lhs - rhs`) of each arithmetic atom, memoised for this
+    /// instance: terms are hash-consed and immutable, so theory rounds
+    /// after the first reuse it instead of re-linearising.
+    atom_lin: HashMap<TermId, LinExpr>,
+    /// Linear form of each integer term (EUF class members, model
+    /// evaluation), memoised like `atom_lin`.
+    term_lin: HashMap<TermId, LinExpr>,
     /// Shared budget; `check` layers the config's per-query limits on top.
     budget: Budget,
     /// Statistics for the current instance.
@@ -214,6 +224,8 @@ impl Smt {
             mbtc_done: HashSet::new(),
             ematch_done: HashSet::new(),
             ematch_count: 0,
+            atom_lin: HashMap::new(),
+            term_lin: HashMap::new(),
             budget: Budget::unlimited(),
             stats: SmtStats::default(),
         }
@@ -467,6 +479,13 @@ impl Smt {
                 self.stats.instances.saturating_sub(before.instances),
             );
             span.record_u64("formula_size", self.stats.formula_size as u64);
+            let s = &self.stats;
+            span.record_duration("prep_us", s.prep_time - before.prep_time);
+            span.record_duration("sat_us", s.sat_time - before.sat_time);
+            span.record_duration("euf_us", s.euf_time - before.euf_time);
+            span.record_duration("lia_us", s.lia_time - before.lia_time);
+            span.record_duration("ematch_us", s.ematch_time - before.ematch_time);
+            span.record_u64("lia_pivots", s.lia_pivots - before.lia_pivots);
         }
         result
     }
@@ -760,100 +779,30 @@ impl Smt {
         let mut lia = Lia::new();
         lia.set_budget(budget.clone());
         let mut lvar: HashMap<TermId, usize> = HashMap::new();
-        let mut synth: Vec<Vec<u32>> = Vec::new();
-        let expand = |tags: Vec<u32>, synth: &Vec<Vec<u32>>| -> Vec<u32> {
-            let mut out = Vec::new();
-            for t in tags {
-                if t >= SYNTH_BASE {
-                    out.extend(synth[(t - SYNTH_BASE) as usize].iter().copied());
-                } else {
-                    out.push(t);
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
-
-        let assert_le = |lia: &mut Lia,
-                         lvar: &mut HashMap<TermId, usize>,
-                         expr: &LinExpr,
-                         rhs: i64,
-                         reason: u32|
-         -> Result<(), Conflict> {
-            // a linearization that overflowed i64 has unreliable numbers:
-            // degrade the whole query rather than assert garbage bounds
-            if expr.overflowed {
-                return Err(Conflict::Stopped(StopReason::Overflow));
-            }
-            // expr <= rhs  (expr's own constant is folded into the bound)
-            if expr.coeffs.is_empty() {
-                if expr.constant <= rhs {
-                    Ok(())
-                } else {
-                    Err(Conflict::Infeasible(vec![reason]))
-                }
-            } else {
-                let terms: Vec<(usize, i64)> = expr
-                    .coeffs
-                    .iter()
-                    .map(|(&t, &c)| {
-                        let v = *lvar.entry(t).or_insert_with(|| lia.new_var());
-                        (v, c)
-                    })
-                    .collect();
-                let s = lia.slack_for(&terms)?;
-                let bound = (rhs as i128) - (expr.constant as i128);
-                lia.assert_upper(s, Rat::from_int128(bound), reason)
-            }
-        };
+        // EUF -> LIA merges `(pivot, member)`, tagged `SYNTH_BASE + index`;
+        // a merge is explained only if a conflict cites its tag
+        let mut merges: Vec<(TermId, TermId)> = Vec::new();
 
         for &(atom, value, lit) in assignment {
-            let tag = lit.code();
-            let result = match arena.term(atom).clone() {
-                Term::Le(a, b) => {
-                    let mut e = linearize(arena, a);
-                    e.sub_assign(&linearize(arena, b));
-                    if value {
-                        assert_le(&mut lia, &mut lvar, &e, 0, tag)
-                    } else {
-                        let mut ne = LinExpr::default();
-                        ne.sub_assign(&e);
-                        assert_le(&mut lia, &mut lvar, &ne, -1, tag)
-                    }
-                }
-                Term::Lt(a, b) => {
-                    let mut e = linearize(arena, a);
-                    e.sub_assign(&linearize(arena, b));
-                    if value {
-                        assert_le(&mut lia, &mut lvar, &e, -1, tag)
-                    } else {
-                        let mut ne = LinExpr::default();
-                        ne.sub_assign(&e);
-                        assert_le(&mut lia, &mut lvar, &ne, 0, tag)
-                    }
-                }
-                Term::Eq(a, b) if arena.sort(a).is_int() => {
-                    if value {
-                        let mut e = linearize(arena, a);
-                        e.sub_assign(&linearize(arena, b));
-                        assert_le(&mut lia, &mut lvar, &e, 0, tag).and_then(|()| {
-                            let mut ne = LinExpr::default();
-                            ne.sub_assign(&e);
-                            assert_le(&mut lia, &mut lvar, &ne, 0, tag)
-                        })
-                    } else {
-                        Ok(()) // handled by the split lemma + EUF
-                    }
-                }
-                _ => Ok(()),
+            // each bound is `sign * (lhs - rhs) <= k`, given as `(sign, k)`
+            let bounds: &[(i64, i64)] = match arena.term(atom) {
+                Term::Le(..) if value => &[(1, 0)],
+                Term::Le(..) => &[(-1, -1)],
+                Term::Lt(..) if value => &[(1, -1)],
+                Term::Lt(..) => &[(-1, 0)],
+                // a false integer equality is handled by the split lemma + EUF
+                Term::Eq(a, _) if value && arena.sort(*a).is_int() => &[(1, 0), (-1, 0)],
+                _ => continue,
             };
-            match result {
-                Ok(()) => {}
-                Err(Conflict::Infeasible(tags)) => {
-                    return Outcome::Conflict(expand(tags, &synth));
+            let e = atom_form(&mut self.atom_lin, arena, atom);
+            for &(sign, k) in bounds {
+                match assert_le(&mut lia, &mut lvar, e, sign, k, lit.code()) {
+                    Ok(()) => {}
+                    Err(Conflict::Infeasible(tags)) => {
+                        return Outcome::Conflict(expand(tags, &merges, euf));
+                    }
+                    Err(Conflict::Stopped(reason)) => return Outcome::Stopped(reason),
                 }
-                Err(Conflict::Stopped(reason)) => return Outcome::Stopped(reason),
             }
         }
 
@@ -881,34 +830,33 @@ impl Smt {
                 continue;
             }
             let pivot = members[0];
-            let lp = linearize(arena, pivot);
             for &m in &members[1..] {
-                let mut e = lp.clone();
-                e.sub_assign(&linearize(arena, m));
+                let mut e = term_form(&mut self.term_lin, arena, pivot).clone();
+                e.sub_assign(term_form(&mut self.term_lin, arena, m));
                 if e.coeffs.is_empty() && e.constant == 0 {
                     continue;
                 }
-                let tags = euf.explain_terms(pivot, m);
-                let reason = SYNTH_BASE + synth.len() as u32;
-                synth.push(tags);
-                let r = assert_le(&mut lia, &mut lvar, &e, 0, reason).and_then(|()| {
-                    let mut ne = LinExpr::default();
-                    ne.sub_assign(&e);
-                    assert_le(&mut lia, &mut lvar, &ne, 0, reason)
-                });
+                let reason = SYNTH_BASE + merges.len() as u32;
+                merges.push((pivot, m));
+                let r = assert_le(&mut lia, &mut lvar, &e, 1, 0, reason)
+                    .and_then(|()| assert_le(&mut lia, &mut lvar, &e, -1, 0, reason));
                 match r {
                     Ok(()) => {}
                     Err(Conflict::Infeasible(tags)) => {
-                        return Outcome::Conflict(expand(tags, &synth));
+                        return Outcome::Conflict(expand(tags, &merges, euf));
                     }
                     Err(Conflict::Stopped(reason)) => return Outcome::Stopped(reason),
                 }
             }
         }
 
-        match lia.check_int(self.config.bb_depth) {
+        let checked = lia.check_int(self.config.bb_depth);
+        self.stats.lia_pivots += lia.pivots();
+        match checked {
             Ok(()) => {}
-            Err(Conflict::Infeasible(tags)) => return Outcome::Conflict(expand(tags, &synth)),
+            Err(Conflict::Infeasible(tags)) => {
+                return Outcome::Conflict(expand(tags, &merges, euf));
+            }
             Err(Conflict::Stopped(reason)) => return Outcome::Stopped(reason),
         }
         let int_exact = !lia.int_incomplete;
@@ -931,9 +879,10 @@ impl Smt {
         let mut shared: Vec<(u64, i64, TermId)> = Vec::new();
         {
             let mut seen = HashSet::new();
+            let memo = &mut self.term_lin;
             let mut add = |arena: &TermArena, slot: u64, k: TermId, seen: &mut HashSet<_>| {
                 if arena.sort(k).is_int() && seen.insert((slot, k)) {
-                    if let Some(v) = eval_int(arena, k, &lvar, &lia) {
+                    if let Some(v) = eval_int(arena, k, memo, &lvar, &lia) {
                         shared.push((slot, v, k));
                     }
                 }
@@ -1008,8 +957,8 @@ impl Smt {
                 let (a, b) = (*a, *b);
                 let got = model.ints.get(&t).copied();
                 let product = match (
-                    eval_lin(arena, a, &lvar, &lia),
-                    eval_lin(arena, b, &lvar, &lia),
+                    eval_lin(arena, a, &mut self.term_lin, &lvar, &lia),
+                    eval_lin(arena, b, &mut self.term_lin, &lvar, &lia),
                 ) {
                     (Some(va), Some(vb)) => va.checked_mul(vb),
                     _ => None,
@@ -1026,7 +975,7 @@ impl Smt {
         let mut arrays: HashMap<u32, Vec<(i64, i64)>> = HashMap::new();
         for &(s, a, i) in sels {
             if let (Some(root), Some(&sv)) = (euf.root_of(a), lvar.get(&s)) {
-                let idx = eval_lin(arena, i, &lvar, &lia);
+                let idx = eval_lin(arena, i, &mut self.term_lin, &lvar, &lia);
                 if let (Some(idx), Some(val)) = (idx, lia.value(sv).to_i64()) {
                     arrays.entry(root).or_default().push((idx, val));
                 }
@@ -1051,6 +1000,83 @@ impl Smt {
     }
 }
 
+/// Replaces synthetic merge tags (`SYNTH_BASE + i`) in a LIA explanation by
+/// the EUF explanation of merge `i`; sorted and deduplicated.
+fn expand(tags: Vec<u32>, merges: &[(TermId, TermId)], euf: &mut Euf) -> Vec<u32> {
+    let mut out = Vec::new();
+    for t in tags {
+        if t >= SYNTH_BASE {
+            let (pivot, m) = merges[(t - SYNTH_BASE) as usize];
+            out.extend(euf.explain_terms(pivot, m));
+        } else {
+            out.push(t);
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Asserts `sign * expr <= k` (`sign` is ±1) with reason tag `reason`; the
+/// expression's own constant is folded into the bound.
+fn assert_le(
+    lia: &mut Lia,
+    lvar: &mut HashMap<TermId, usize>,
+    expr: &LinExpr,
+    sign: i64,
+    k: i64,
+    reason: u32,
+) -> Result<(), Conflict> {
+    // a linearization that overflowed i64 has unreliable numbers, and so
+    // does the negation of an `i64::MIN`: degrade the whole query rather
+    // than assert garbage bounds
+    let negation_overflows =
+        sign < 0 && (expr.constant == i64::MIN || expr.coeffs.values().any(|&c| c == i64::MIN));
+    if expr.overflowed || negation_overflows {
+        return Err(Conflict::Stopped(StopReason::Overflow));
+    }
+    let constant = sign * expr.constant;
+    if expr.coeffs.is_empty() {
+        return if constant <= k {
+            Ok(())
+        } else {
+            Err(Conflict::Infeasible(vec![reason]))
+        };
+    }
+    let terms: Vec<(usize, i64)> = expr
+        .coeffs
+        .iter()
+        .map(|(&t, &c)| (*lvar.entry(t).or_insert_with(|| lia.new_var()), sign * c))
+        .collect();
+    let s = lia.slack_for(&terms)?;
+    lia.assert_upper(s, Rat::from_int128(k as i128 - constant as i128), reason)
+}
+
+/// The memoised `lhs - rhs` of an arithmetic atom `lhs ⋈ rhs`.
+fn atom_form<'m>(
+    memo: &'m mut HashMap<TermId, LinExpr>,
+    arena: &TermArena,
+    atom: TermId,
+) -> &'m LinExpr {
+    memo.entry(atom).or_insert_with(|| match arena.term(atom) {
+        Term::Le(a, b) | Term::Lt(a, b) | Term::Eq(a, b) => {
+            let mut e = linearize(arena, *a);
+            e.sub_assign(&linearize(arena, *b));
+            e
+        }
+        _ => unreachable!("not an arithmetic atom"),
+    })
+}
+
+/// The memoised linear form of an integer term.
+fn term_form<'m>(
+    memo: &'m mut HashMap<TermId, LinExpr>,
+    arena: &TermArena,
+    t: TermId,
+) -> &'m LinExpr {
+    memo.entry(t).or_insert_with(|| linearize(arena, t))
+}
+
 /// Evaluates an integer term *semantically* under the LIA assignment:
 /// arithmetic is computed structurally (so a nonlinear product evaluates to
 /// the actual product of its operands, not to whatever value its opaque LIA
@@ -1058,28 +1084,40 @@ impl Smt {
 /// applications — read the assignment through their linear form. Model-based
 /// theory combination must use this view, because the independent model
 /// evaluation it guards against computes products the same way.
-fn eval_int(arena: &TermArena, t: TermId, lvar: &HashMap<TermId, usize>, lia: &Lia) -> Option<i64> {
+fn eval_int(
+    arena: &TermArena,
+    t: TermId,
+    memo: &mut HashMap<TermId, LinExpr>,
+    lvar: &HashMap<TermId, usize>,
+    lia: &Lia,
+) -> Option<i64> {
     match arena.term(t) {
         Term::IntConst(v) => Some(*v),
         Term::Add(a, b) => {
             let (a, b) = (*a, *b);
-            eval_int(arena, a, lvar, lia)?.checked_add(eval_int(arena, b, lvar, lia)?)
+            eval_int(arena, a, memo, lvar, lia)?.checked_add(eval_int(arena, b, memo, lvar, lia)?)
         }
         Term::Sub(a, b) => {
             let (a, b) = (*a, *b);
-            eval_int(arena, a, lvar, lia)?.checked_sub(eval_int(arena, b, lvar, lia)?)
+            eval_int(arena, a, memo, lvar, lia)?.checked_sub(eval_int(arena, b, memo, lvar, lia)?)
         }
         Term::Mul(a, b) => {
             let (a, b) = (*a, *b);
-            eval_int(arena, a, lvar, lia)?.checked_mul(eval_int(arena, b, lvar, lia)?)
+            eval_int(arena, a, memo, lvar, lia)?.checked_mul(eval_int(arena, b, memo, lvar, lia)?)
         }
-        _ => eval_lin(arena, t, lvar, lia),
+        _ => eval_lin(arena, t, memo, lvar, lia),
     }
 }
 
 /// Evaluates an integer term's linear form under the LIA assignment.
-fn eval_lin(arena: &TermArena, t: TermId, lvar: &HashMap<TermId, usize>, lia: &Lia) -> Option<i64> {
-    let e = linearize(arena, t);
+fn eval_lin(
+    arena: &TermArena,
+    t: TermId,
+    memo: &mut HashMap<TermId, LinExpr>,
+    lvar: &HashMap<TermId, usize>,
+    lia: &Lia,
+) -> Option<i64> {
+    let e = term_form(memo, arena, t);
     if e.overflowed {
         return None;
     }

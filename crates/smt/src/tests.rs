@@ -5,7 +5,7 @@ use pins_prng::SplitMix64;
 
 use crate::{QueryCache, SmtConfig, SmtResult, SmtSession};
 
-fn cases(light: usize, heavy: usize) -> usize {
+pub(crate) fn cases(light: usize, heavy: usize) -> usize {
     if cfg!(feature = "heavy-tests") {
         heavy
     } else {
@@ -225,6 +225,39 @@ fn arithmetic_implies_congruence() {
     let fy = a.mk_app(f, vec![y]);
     let ne = a.mk_neq(fx, fy);
     assert!(unsat(&mut a, &[le1, le2, ne]));
+}
+
+#[test]
+fn congruence_merge_explanations_reach_the_core() {
+    // f(x) = y, f(z) = w, x = z, y + 1 <= w: EUF merges y, f(x), f(z) and w
+    // into one class, LIA refutes the merged view, and the refutation cites
+    // merge tags whose EUF explanations are expanded only then; the core
+    // must still name every assert
+    let mut a = TermArena::new();
+    let f = a.declare_fun("f", vec![Sort::Int], Sort::Int);
+    let [x, y, z, w] = ["x", "y", "z", "w"].map(|n| int_var(&mut a, n));
+    let fx = a.mk_app(f, vec![x]);
+    let fz = a.mk_app(f, vec![z]);
+    let one = a.mk_int(1);
+    let y1 = a.mk_add(y, one);
+    let asserts = [
+        a.mk_eq(fx, y),
+        a.mk_eq(fz, w),
+        a.mk_eq(x, z),
+        a.mk_le(y1, w),
+    ];
+    let mut smt = crate::Smt::new(cfg());
+    for (id, &t) in asserts.iter().enumerate() {
+        smt.assert_term_tracked(&mut a, t, id as u32);
+    }
+    assert!(smt.check(&mut a).is_unsat());
+    assert!(
+        smt.stats.theory_conflicts > 0,
+        "the refutation must come from LIA"
+    );
+    let core = smt.unsat_core().expect("tracked unsat carries a core");
+    assert_eq!(core.ids, vec![0, 1, 2, 3]);
+    assert!(core.exact);
 }
 
 #[test]
