@@ -108,7 +108,6 @@ fn synthesize_inner(
         session,
         DomainConfig {
             pred_subset_max: config.pred_subset_max,
-            include_true_invariant: true,
         },
     );
 

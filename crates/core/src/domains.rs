@@ -37,17 +37,11 @@ pub struct HoleDomains {
 pub struct DomainConfig {
     /// Maximum number of Δp atoms conjoined per predicate-hole candidate.
     pub pred_subset_max: usize,
-    /// Include `true` (the empty conjunction) as a predicate candidate for
-    /// invariant holes.
-    pub include_true_invariant: bool,
 }
 
 impl Default for DomainConfig {
     fn default() -> Self {
-        DomainConfig {
-            pred_subset_max: 1,
-            include_true_invariant: true,
-        }
+        DomainConfig { pred_subset_max: 1 }
     }
 }
 
@@ -168,11 +162,8 @@ pub fn build_domains(session: &Session, config: DomainConfig) -> HoleDomains {
 
     // synthetic holes for template loops
     let rank_cands = derive_rank_candidates(&session.pred_candidates);
-    let inv_cands = pred_subset_candidates(
-        &session.pred_candidates,
-        config.pred_subset_max,
-        config.include_true_invariant,
-    );
+    // invariant holes include `true` (the empty conjunction)
+    let inv_cands = pred_subset_candidates(&session.pred_candidates, config.pred_subset_max, true);
     let mut next_e = program.num_eholes;
     let mut next_p = program.num_pholes;
     #[allow(clippy::explicit_counter_loop)] // next_e/next_p allocate fresh hole ids

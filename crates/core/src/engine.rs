@@ -111,27 +111,26 @@ pub struct PinsStats {
 }
 
 impl PinsStats {
-    /// Reconstructs the Table-4 view from a [`MetricsRegistry`] the engine
-    /// was run against (see [`Pins::run_with`]). Durations come from the
-    /// `phase.*` cells, counts from the `smt.*`, `solve.*`, and `explore.*`
-    /// cells; the result matches the typed stats carried on a successful
-    /// [`PinsOutcome`], and is the only view available when the run failed.
+    /// Reads the Table-4 view from a [`MetricsRegistry`] the engine was run
+    /// against (see [`Pins::run_with`]). Durations come from the `phase.*`
+    /// cells, counts from the `smt.*`, `feas.*` and `solve.*` cells. This is
+    /// what [`PinsOutcome::stats`] returns, and it works for failed runs
+    /// too.
     pub fn from_registry(registry: &MetricsRegistry) -> PinsStats {
-        let solve = crate::solve::SolveStats::from_registry(registry);
         PinsStats {
             symexec_time: registry.duration("phase.symexec"),
-            smt_reduction_time: solve.smt_time,
-            sat_time: solve.sat_time,
+            smt_reduction_time: registry.duration("phase.smt_reduction"),
+            sat_time: registry.duration("phase.sat"),
             pickone_time: registry.duration("phase.pickone"),
             total_time: registry.duration("phase.total"),
-            sat_size: solve.sat_size,
-            smt_queries: solve.smt_queries,
-            feasibility_queries: registry.get("explore.feasibility_queries"),
+            sat_size: registry.get("solve.sat_size") as usize,
+            smt_queries: registry.get("solve.smt_queries"),
+            feasibility_queries: registry.get("feas.queries"),
             smt_cache_hits: registry.get("smt.cache_hits"),
             smt_cache_misses: registry.get("smt.cache_misses"),
-            sessions_reused: solve.sessions_reused,
-            verify_panics: solve.verify_panics,
-            sat_interrupts: solve.sat_interrupts,
+            sessions_reused: registry.get("solve.sessions_reused"),
+            verify_panics: registry.get("solve.verify_panics"),
+            sat_interrupts: registry.get("solve.sat_interrupts"),
             smt_retries: registry.get("smt.retries"),
             smt_cache_upgrades: registry.get("smt.cache_upgrades"),
             unknown_deadline: registry.get("smt.unknown.deadline"),
@@ -162,7 +161,8 @@ pub struct ResolvedSolution {
 ///
 /// Statistics are exposed through [`stats`](PinsOutcome::stats) (the typed
 /// Table-4 view) and [`metrics`](PinsOutcome::metrics) (the raw
-/// [`MetricsRegistry`] the run was instrumented against).
+/// [`MetricsRegistry`] the run was instrumented against). Both read the
+/// same cells.
 #[derive(Debug, Clone)]
 pub struct PinsOutcome {
     /// The surviving solutions (1–4 on the paper's benchmarks).
@@ -173,9 +173,6 @@ pub struct PinsOutcome {
     pub paths_explored: usize,
     /// Whether the run stabilized (vs. hitting a budget with candidates).
     pub converged: bool,
-    /// Timing and counting statistics (private: read through
-    /// [`stats`](PinsOutcome::stats)).
-    stats: PinsStats,
     /// The registry every subsystem counter of this run was routed through.
     metrics: MetricsRegistry,
     /// Concrete tests generated from the explored paths.
@@ -185,9 +182,12 @@ pub struct PinsOutcome {
 }
 
 impl PinsOutcome {
-    /// The typed per-phase statistics (the paper's Table 4 columns).
-    pub fn stats(&self) -> &PinsStats {
-        &self.stats
+    /// The typed per-phase statistics (the paper's Table 4 columns), read
+    /// from [`metrics`](PinsOutcome::metrics). When several runs recorded
+    /// into one registry passed to [`Pins::run_with`], these are their
+    /// totals so far, not this run's share.
+    pub fn stats(&self) -> PinsStats {
+        PinsStats::from_registry(&self.metrics)
     }
 
     /// The metrics registry the run recorded into: every `smt.*`,
@@ -283,11 +283,10 @@ impl Pins {
     /// Runs Algorithm 1 routing every subsystem counter and phase duration
     /// through a caller-owned [`MetricsRegistry`].
     ///
-    /// Unlike the stats carried on a [`PinsOutcome`], the registry survives
-    /// *failed* runs: on `Err` it still holds everything recorded up to the
-    /// stop, and [`PinsStats::from_registry`] reconstructs the Table-4 view
-    /// from it. Passing the same registry to several runs accumulates their
-    /// counters.
+    /// The registry survives *failed* runs: on `Err` it still holds
+    /// everything recorded up to the stop, and [`PinsStats::from_registry`]
+    /// reads the Table-4 view from it. Passing the same registry to several
+    /// runs accumulates their counters.
     pub fn run_with(
         &self,
         session: &mut Session,
@@ -324,7 +323,6 @@ impl Pins {
         metrics: &MetricsRegistry,
     ) -> Result<PinsOutcome, PinsError> {
         let start = Instant::now();
-        let mut stats = PinsStats::default();
         let mut rng = SplitMix64::new(self.config.seed);
 
         let mut ctx = SymCtx::new(&session.composed);
@@ -345,7 +343,6 @@ impl Pins {
             session,
             DomainConfig {
                 pred_subset_max: self.config.pred_subset_max,
-                include_true_invariant: true,
             },
         );
         let mut constraints: Vec<Constraint> = terminate_constraints(session, &domains, &mut ctx);
@@ -389,18 +386,11 @@ impl Pins {
                     &mut smt,
                 )
             };
-            stats.smt_reduction_time = solver.stats.smt_time;
-            stats.sat_time = solver.stats.sat_time;
-            stats.sat_size = solver.stats.sat_size;
-            stats.smt_queries = solver.stats.smt_queries;
-            stats.sessions_reused = solver.stats.sessions_reused;
-            stats.verify_panics = solver.stats.verify_panics;
-            stats.sat_interrupts = solver.stats.sat_interrupts;
             if sols.is_empty() {
                 // an empty solution set means "every candidate refuted" only
                 // when the search actually ran to completion; a budget trip
                 // mid-enumeration is exhaustion, not a refutation
-                if solver.stats.last_stop.is_some() || budget.check().is_err() {
+                if solver.last_stop().is_some() || budget.check().is_err() {
                     return Err(PinsError::BudgetExhausted);
                 }
                 return Err(PinsError::NoSolution {
@@ -413,8 +403,7 @@ impl Pins {
             }
             if sols.len() == last_size && sols.len() < self.config.m {
                 return Ok(self.finalize(
-                    session, &mut ctx, &domains, &mut smt, metrics, sols, iterations, &paths,
-                    stats, start, true,
+                    session, &mut ctx, &domains, &mut smt, metrics, sols, iterations, &paths, true,
                 ));
             }
             last_size = sols.len();
@@ -438,9 +427,7 @@ impl Pins {
                 )
             };
             drop(pick_phase);
-            let dt = t0.elapsed();
-            stats.pickone_time += dt;
-            metrics.add_duration("phase.pickone", dt);
+            metrics.add_duration("phase.pickone", t0.elapsed());
             let filler = sols[pick].to_filler(&domains);
 
             // symbolic execution guided by the chosen solution; if a bad
@@ -466,7 +453,6 @@ impl Pins {
                 explorer.bind_metrics(metrics, "feas");
                 explorer.set_provenance(prov.clone());
                 path = explorer.explore_one(&mut ctx, &f, &explored);
-                stats.feasibility_queries += explorer.feasibility_queries;
                 any_budget_hit |= explorer.budget_hit;
                 if path.is_some() {
                     break;
@@ -479,9 +465,7 @@ impl Pins {
             }
             drop(symexec_phase);
             prov.set_path(0);
-            let dt = t0.elapsed();
-            stats.symexec_time += dt;
-            metrics.add_duration("phase.symexec", dt);
+            metrics.add_duration("phase.symexec", t0.elapsed());
 
             let Some(path) = path else {
                 // every feasible path within bounds is covered (or the step
@@ -496,8 +480,6 @@ impl Pins {
                     sols,
                     iterations,
                     &paths,
-                    stats,
-                    start,
                     !any_budget_hit,
                 ));
             };
@@ -582,8 +564,6 @@ impl Pins {
         sols: Vec<Solution>,
         iterations: usize,
         paths: &[PathResult],
-        mut stats: PinsStats,
-        start: Instant,
         converged: bool,
     ) -> PinsOutcome {
         let solutions: Vec<ResolvedSolution> = sols
@@ -596,21 +576,11 @@ impl Pins {
         } else {
             Vec::new()
         };
-        stats.smt_cache_hits = smt.stats.cache_hits;
-        stats.smt_cache_misses = smt.stats.cache_misses;
-        stats.smt_retries = smt.stats.retries;
-        stats.smt_cache_upgrades = smt.stats.cache_upgrades;
-        stats.unknown_deadline = smt.stats.unknown_deadline;
-        stats.unknown_cancelled = smt.stats.unknown_cancelled;
-        stats.unknown_step_limit = smt.stats.unknown_step_limit;
-        stats.unknown_overflow = smt.stats.unknown_overflow;
-        stats.total_time = start.elapsed();
         PinsOutcome {
             solutions,
             iterations,
             paths_explored: paths.len(),
             converged,
-            stats,
             metrics: metrics.clone(),
             tests,
             search_space_log2: domains.paper_search_space_log2,

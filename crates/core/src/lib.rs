@@ -60,7 +60,7 @@ pub use engine::{
     ResolvedSolution,
 };
 pub use session::{AxiomDef, Session, Spec, SpecItem};
-pub use solve::{HoleSolver, Solution, SolveStats};
+pub use solve::{HoleSolver, Solution};
 
 #[cfg(test)]
 mod tests;

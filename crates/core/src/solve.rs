@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pins_budget::StopReason;
 
@@ -80,57 +80,6 @@ struct Registered {
     parts: Vec<Obligation>,
 }
 
-/// Timing and counting statistics from `solve`.
-#[derive(Debug, Clone, Default)]
-pub struct SolveStats {
-    /// Time in SAT solving.
-    pub sat_time: Duration,
-    /// Time in SMT validity checking (the paper's "SMT reduction").
-    pub smt_time: Duration,
-    /// Number of SMT validity queries issued (excluding local memo hits).
-    pub smt_queries: u64,
-    /// Number of candidate assignments proposed by SAT.
-    pub candidates_proposed: u64,
-    /// Final SAT formula size (vars + literal occurrences).
-    pub sat_size: usize,
-    /// Normalized-query cache hits attributable to `solve`.
-    pub cache_hits: u64,
-    /// Normalized-query cache misses attributable to `solve`.
-    pub cache_misses: u64,
-    /// Number of `solve` calls that reused solver/session state built by an
-    /// earlier call (incremental reuse across PINS iterations).
-    pub sessions_reused: u64,
-    /// Verification queries that panicked and were degraded to "constraint
-    /// unverified" instead of aborting the search.
-    pub verify_panics: u64,
-    /// Candidate-enumeration SAT solves interrupted by the shared budget.
-    pub sat_interrupts: u64,
-    /// The budget stop that ended the most recent `solve` call early, if any.
-    pub last_stop: Option<StopReason>,
-}
-
-impl SolveStats {
-    /// Reconstructs the `solve`-attributable statistics from a
-    /// [`MetricsRegistry`] that a [`HoleSolver`] was bound to with
-    /// [`HoleSolver::bind_metrics`]. `last_stop` is not a counter and comes
-    /// back `None`; everything else mirrors the live struct.
-    pub fn from_registry(registry: &MetricsRegistry) -> SolveStats {
-        SolveStats {
-            sat_time: registry.duration("phase.sat"),
-            smt_time: registry.duration("phase.smt_reduction"),
-            smt_queries: registry.get("solve.smt_queries"),
-            candidates_proposed: registry.get("solve.candidates"),
-            sat_size: registry.get("solve.sat_size") as usize,
-            cache_hits: registry.get("solve.cache_hits"),
-            cache_misses: registry.get("solve.cache_misses"),
-            sessions_reused: registry.get("solve.sessions_reused"),
-            verify_panics: registry.get("solve.verify_panics"),
-            sat_interrupts: registry.get("solve.sat_interrupts"),
-            last_stop: None,
-        }
-    }
-}
-
 /// Registry handles for the counters `solve` maintains. Detached by default
 /// (every operation is a plain atomic bump on a private cell); bound to
 /// shared registry cells by [`HoleSolver::bind_metrics`].
@@ -141,8 +90,6 @@ struct SolveMetrics {
     smt_queries: Counter,
     candidates: Counter,
     sat_size: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
     sessions_reused: Counter,
     verify_panics: Counter,
     sat_interrupts: Counter,
@@ -156,8 +103,6 @@ impl SolveMetrics {
             smt_queries: registry.counter("solve.smt_queries"),
             candidates: registry.counter("solve.candidates"),
             sat_size: registry.counter("solve.sat_size"),
-            cache_hits: registry.counter("solve.cache_hits"),
-            cache_misses: registry.counter("solve.cache_misses"),
             sessions_reused: registry.counter("solve.sessions_reused"),
             verify_panics: registry.counter("solve.verify_panics"),
             sat_interrupts: registry.counter("solve.sat_interrupts"),
@@ -224,9 +169,12 @@ pub struct HoleSolver {
     /// `(constraint index, part index, restricted assignment) -> verified?`
     cache: HashMap<(usize, usize, RestrictedKey), bool>,
     constraints: Vec<Registered>,
-    /// Statistics accumulated across calls.
-    pub stats: SolveStats,
-    /// Registry handles mirroring `stats`; detached until
+    /// Whether an earlier `solve` call proposed a candidate, so later calls
+    /// reuse the SAT state and memo it built.
+    proposed: bool,
+    /// The budget stop that ended the most recent `solve` call early.
+    last_stop: Option<StopReason>,
+    /// Counter handles; detached until
     /// [`bind_metrics`](HoleSolver::bind_metrics) is called.
     metrics: SolveMetrics,
 }
@@ -253,17 +201,23 @@ impl HoleSolver {
             pvars,
             cache: HashMap::new(),
             constraints: Vec::new(),
-            stats: SolveStats::default(),
+            proposed: false,
+            last_stop: None,
             metrics: SolveMetrics::default(),
         }
     }
 
     /// Binds the solver's counters to shared cells in `registry` (keys
     /// `phase.sat`, `phase.smt_reduction`, `solve.*`). Subsequent `solve`
-    /// calls bump those cells at event time, so the registry and the typed
-    /// [`SolveStats`] stay consistent.
+    /// calls bump those cells at event time.
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = SolveMetrics::bind(registry);
+    }
+
+    /// The budget stop that ended the most recent `solve` call early, if
+    /// any.
+    pub fn last_stop(&self) -> Option<StopReason> {
+        self.last_stop
     }
 
     /// Registers constraint `idx` (call once per new constraint, in order):
@@ -338,12 +292,8 @@ impl HoleSolver {
                 break;
             }
         }
-        let dt = t0.elapsed();
-        self.stats.smt_time += dt;
-        self.metrics.smt_time.add_duration(dt);
-        self.stats.smt_queries += queries;
+        self.metrics.smt_time.add_duration(t0.elapsed());
         self.metrics.smt_queries.add(queries);
-        self.stats.verify_panics += panics;
         self.metrics.verify_panics.add(panics);
         valid
     }
@@ -388,17 +338,15 @@ impl HoleSolver {
         m: usize,
         smt: &mut SmtSession,
     ) -> Vec<Solution> {
-        if self.stats.smt_queries > 0 || self.stats.candidates_proposed > 0 {
-            self.stats.sessions_reused += 1;
+        if self.proposed {
             self.metrics.sessions_reused.inc();
         }
-        let before = smt.stats;
         // register any new constraints
         for (idx, constraint) in constraints.iter().enumerate().skip(self.constraints.len()) {
             self.register_constraint(ctx, &session.composed, idx, constraint);
         }
         let mut found = Vec::new();
-        self.stats.last_stop = None;
+        self.last_stop = None;
         let mut snapshot = self.sat.clone();
         // candidate enumeration runs under the session's shared budget, so a
         // deadline or cancellation interrupts SAT search too, not just SMT
@@ -406,24 +354,20 @@ impl HoleSolver {
         loop {
             let t0 = Instant::now();
             let res = snapshot.solve();
-            let dt = t0.elapsed();
-            self.stats.sat_time += dt;
-            self.metrics.sat_time.add_duration(dt);
-            self.stats.sat_size = self.stats.sat_size.max(snapshot.formula_size());
+            self.metrics.sat_time.add_duration(t0.elapsed());
             self.metrics
                 .sat_size
                 .record_max(snapshot.formula_size() as u64);
             match res {
                 SolveResult::Unsat => break,
                 SolveResult::Interrupted(reason) => {
-                    self.stats.sat_interrupts += 1;
                     self.metrics.sat_interrupts.inc();
-                    self.stats.last_stop = Some(reason);
+                    self.last_stop = Some(reason);
                     break;
                 }
                 SolveResult::Sat => {
                     let s = Self::extract_solution(&snapshot, &self.evars, &self.pvars);
-                    self.stats.candidates_proposed += 1;
+                    self.proposed = true;
                     self.metrics.candidates.inc();
                     // the first failing constraint, in index order, supplies
                     // the blocking clause
@@ -455,12 +399,6 @@ impl HoleSolver {
                 }
             }
         }
-        let hits = smt.stats.cache_hits - before.cache_hits;
-        let misses = smt.stats.cache_misses - before.cache_misses;
-        self.stats.cache_hits += hits;
-        self.metrics.cache_hits.add(hits);
-        self.stats.cache_misses += misses;
-        self.metrics.cache_misses.add(misses);
         found
     }
 }

@@ -190,14 +190,11 @@ fn stats_are_populated() {
     assert!(s.smt_queries > 0);
     assert!(s.sat_size > 0);
     assert!(s.smt_reduction_time.as_nanos() > 0);
-    // the registry view reconstructs the same numbers
-    let r = crate::PinsStats::from_registry(outcome.metrics());
-    assert_eq!(r.smt_queries, s.smt_queries);
-    assert_eq!(r.sat_size, s.sat_size);
-    assert_eq!(r.smt_cache_hits, s.smt_cache_hits);
-    assert_eq!(r.smt_cache_misses, s.smt_cache_misses);
-    assert_eq!(r.feasibility_queries, s.feasibility_queries);
-    assert!(r.total_time.as_nanos() > 0);
+    // every query on the engine's session is either a hit or a miss
+    assert_eq!(
+        s.smt_cache_hits + s.smt_cache_misses,
+        outcome.metrics().get("smt.queries")
+    );
 }
 
 // ---------------- unit-level checks ----------------

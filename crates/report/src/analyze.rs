@@ -255,9 +255,9 @@ mod tests {
     #[test]
     fn attribution_groups_by_bench_and_phase() {
         let a = Analysis::from_trace(&demo_trace(), 10);
-        let solve = &a.attribution[&("Σi".to_string(), "solve".to_string())];
+        let solving = &a.attribution[&("Σi".to_string(), "solve".to_string())];
         assert_eq!(
-            (solve.queries, solve.total_us, solve.cache_hits),
+            (solving.queries, solving.total_us, solving.cache_hits),
             (1, 100, 0)
         );
         let pick = &a.attribution[&("Σi".to_string(), "pickone".to_string())];

@@ -76,8 +76,8 @@ pub use model::Model;
 pub use prep::{preprocess, Prepped};
 pub use rational::Rat;
 pub use session::{
-    global_cache, CacheEntry, CachedCore, CoreMember, CoreSlot, MissBreakdown, MissCause,
-    QueryCache, SessionStats, SmtSession, UnsatCore, Verdict, NEAR_MISS_DELTA,
+    global_cache, CacheEntry, CachedCore, CoreMember, CoreSlot, MissCause, QueryCache,
+    SessionStats, SmtSession, UnsatCore, Verdict, NEAR_MISS_DELTA,
 };
 pub use simplex::Lia;
 pub use solver::{Smt, SmtConfig, SmtResult, SmtStats, TrackedCore};

@@ -283,19 +283,6 @@ pub const NEAR_MISS_DELTA: usize = 4;
 /// per fingerprint; beyond it an assertion is too common to vote usefully.
 const INVERTED_CAP: usize = 8;
 
-/// Per-miss counters, one per [`MissCause`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MissBreakdown {
-    /// Misses with no structural precedent.
-    pub first_seen: u64,
-    /// Misses explained by a config-fingerprint change only.
-    pub config_mismatch: u64,
-    /// Misses on a budget-escalation ladder.
-    pub budget_retry: u64,
-    /// Misses within [`NEAR_MISS_DELTA`] assertions of a cached query.
-    pub near_miss: u64,
-}
-
 /// The unsat core stored alongside a cached `Unsat` verdict: the member
 /// formulas' structural fingerprints (a subset of the query's normalized
 /// assertion set, so any session that hits the entry can resolve them back
@@ -352,10 +339,6 @@ pub struct QueryCache {
     forensics: Mutex<ForensicsIndex>,
     hits: AtomicU64,
     misses: AtomicU64,
-    miss_first_seen: AtomicU64,
-    miss_config_mismatch: AtomicU64,
-    miss_budget_retry: AtomicU64,
-    miss_near_miss: AtomicU64,
 }
 
 impl QueryCache {
@@ -425,17 +408,6 @@ impl QueryCache {
         }
     }
 
-    /// Bumps the per-cause miss counter.
-    pub fn note_miss_cause(&self, cause: MissCause) {
-        let cell = match cause {
-            MissCause::FirstSeen => &self.miss_first_seen,
-            MissCause::ConfigMismatch => &self.miss_config_mismatch,
-            MissCause::BudgetRetry => &self.miss_budget_retry,
-            MissCause::NearMiss => &self.miss_near_miss,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a solved query into the forensics side-index so later misses
     /// can be classified against it.
     pub fn note_solved(&self, structural_key: u128, sorted_fps: &[u128], verdict: Verdict) {
@@ -463,16 +435,6 @@ impl QueryCache {
         }
     }
 
-    /// Per-cause miss counters since creation (or the last counter reset).
-    pub fn miss_breakdown(&self) -> MissBreakdown {
-        MissBreakdown {
-            first_seen: self.miss_first_seen.load(Ordering::Relaxed),
-            config_mismatch: self.miss_config_mismatch.load(Ordering::Relaxed),
-            budget_retry: self.miss_budget_retry.load(Ordering::Relaxed),
-            near_miss: self.miss_near_miss.load(Ordering::Relaxed),
-        }
-    }
-
     /// Cache hits since creation (or the last [`reset_counters`](Self::reset_counters)).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -493,9 +455,12 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Drops all entries (counters are kept).
+    /// Drops all entries and the miss-forensics index built from them, so a
+    /// later miss is classified as if the cache were new (counters are
+    /// kept).
     pub fn clear(&self) {
         self.map.lock().unwrap().clear();
+        *self.forensics.lock().unwrap() = ForensicsIndex::default();
     }
 
     /// Zeroes the hit/miss counters (entries are kept). Benchmarks use this
@@ -629,103 +594,114 @@ struct AuditDelta {
     atoms: u64,
 }
 
+/// How [`SmtSession::query`] answered: a cached verdict, or a fresh
+/// solver result (a miss, or a sat re-solve for a model).
+enum Answer {
+    Cached(Verdict),
+    Solved(SmtResult),
+}
+
 // ---------------------------------------------------------------------------
 // the session
 // ---------------------------------------------------------------------------
 
-/// Per-session query counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
+/// Declares the session counters once: each field of the typed
+/// [`SessionStats`] view, the [`Counter`] a session bumps for it, and the
+/// registry key (below the session's prefix) both are read from.
+macro_rules! session_counters {
+    ($($(#[$doc:meta])* $field:ident: $key:literal,)*) => {
+        /// Per-session query counters: a snapshot read from the counter
+        /// cells sessions bump at event time (see [`SmtSession::stats`] and
+        /// [`SessionStats::from_registry`]).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct SessionStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl SessionStats {
+            /// Reads the counters from `registry` cells under `prefix`
+            /// (e.g. `"smt"`): the totals of every session bound there with
+            /// [`SmtSession::bind_metrics`].
+            pub fn from_registry(registry: &MetricsRegistry, prefix: &str) -> SessionStats {
+                SessionStats {
+                    $($field: registry.get(&format!("{prefix}.{}", $key)),)*
+                }
+            }
+        }
+
+        /// The [`Counter`] behind each [`SessionStats`] field.
+        #[derive(Debug, Default)]
+        struct SessionCounters {
+            $($field: Counter,)*
+        }
+
+        impl SessionCounters {
+            fn bind(registry: &MetricsRegistry, prefix: &str) -> SessionCounters {
+                SessionCounters {
+                    $($field: registry.counter(&format!("{prefix}.{}", $key)),)*
+                }
+            }
+
+            fn read(&self) -> SessionStats {
+                SessionStats {
+                    $($field: self.$field.get(),)*
+                }
+            }
+        }
+    };
+}
+
+session_counters! {
     /// Total queries issued through this session.
-    pub queries: u64,
+    queries: "queries",
     /// Queries answered from the shared cache without solving.
-    pub cache_hits: u64,
+    cache_hits: "cache_hits",
     /// Queries that required an actual solve.
-    pub cache_misses: u64,
+    cache_misses: "cache_misses",
     /// Model-producing checks whose verdict was cached as satisfiable and
     /// therefore had to re-solve to recover a model for this arena.
-    pub sat_resolves: u64,
+    sat_resolves: "sat_resolves",
     /// Budget-limited `Unknown` results retried once at doubled budgets.
-    pub retries: u64,
+    retries: "retries",
     /// Cached budget-limited `Unknown` entries replaced in place because a
     /// retry at larger budgets reached a definitive verdict.
-    pub cache_upgrades: u64,
+    cache_upgrades: "cache_upgrades",
     /// Final `Unknown` answers (after any retry) that hit the wall-clock
     /// deadline.
-    pub unknown_deadline: u64,
+    unknown_deadline: "unknown.deadline",
     /// Final `Unknown` answers caused by an external cancellation.
-    pub unknown_cancelled: u64,
+    unknown_cancelled: "unknown.cancelled",
     /// Final `Unknown` answers that exhausted a step or round limit.
-    pub unknown_step_limit: u64,
+    unknown_step_limit: "unknown.step_limit",
     /// Final `Unknown` answers degraded from an arithmetic overflow in the
     /// exact rational LIA core.
-    pub unknown_overflow: u64,
+    unknown_overflow: "unknown.overflow",
     /// Misses classified [`MissCause::FirstSeen`].
-    pub miss_first_seen: u64,
+    miss_first_seen: "miss.first_seen",
     /// Misses classified [`MissCause::ConfigMismatch`].
-    pub miss_config_mismatch: u64,
+    miss_config_mismatch: "miss.config_mismatch",
     /// Misses classified [`MissCause::BudgetRetry`].
-    pub miss_budget_retry: u64,
+    miss_budget_retry: "miss.budget_retry",
     /// Misses classified [`MissCause::NearMiss`].
-    pub miss_near_miss: u64,
+    miss_near_miss: "miss.near_miss",
     /// Consecutive-query pairs measured by the incrementality audit.
-    pub audit_pairs: u64,
+    audit_pairs: "audit.pairs",
     /// Summed shared-prefix length (atoms) over audited pairs.
-    pub audit_shared_prefix: u64,
+    audit_shared_prefix: "audit.shared_prefix",
     /// Summed atoms added relative to the previous query.
-    pub audit_added: u64,
+    audit_added: "audit.added",
     /// Summed atoms removed relative to the previous query.
-    pub audit_removed: u64,
+    audit_removed: "audit.removed",
     /// Audited pairs that only *extended* the previous query (removed = 0):
     /// exactly the queries a push-scoped warm start would serve.
-    pub audit_pure_extensions: u64,
+    audit_pure_extensions: "audit.pure_extensions",
     /// `Unsat` verdicts that carried an unsat core (fresh or cached).
-    pub cores: u64,
+    cores: "cores",
     /// Cores that were fallback over-approximations rather than exact.
-    pub cores_inexact: u64,
+    cores_inexact: "cores.inexact",
 }
 
 impl SessionStats {
-    /// Bumps the per-reason counter for a final `Unknown` answer.
-    fn note_unknown(&mut self, reason: StopReason) {
-        match reason {
-            StopReason::Deadline => self.unknown_deadline += 1,
-            StopReason::Cancelled => self.unknown_cancelled += 1,
-            StopReason::StepLimit => self.unknown_step_limit += 1,
-            StopReason::Overflow => self.unknown_overflow += 1,
-        }
-    }
-
-    /// Reconstructs the counters from `registry` cells under `prefix`
-    /// (e.g. `"smt"`) — the typed view over what sessions bound with
-    /// [`SmtSession::bind_metrics`] wrote through at event time.
-    pub fn from_registry(registry: &MetricsRegistry, prefix: &str) -> SessionStats {
-        let g = |name: &str| registry.get(&format!("{prefix}.{name}"));
-        SessionStats {
-            queries: g("queries"),
-            cache_hits: g("cache_hits"),
-            cache_misses: g("cache_misses"),
-            sat_resolves: g("sat_resolves"),
-            retries: g("retries"),
-            cache_upgrades: g("cache_upgrades"),
-            unknown_deadline: g("unknown.deadline"),
-            unknown_cancelled: g("unknown.cancelled"),
-            unknown_step_limit: g("unknown.step_limit"),
-            unknown_overflow: g("unknown.overflow"),
-            miss_first_seen: g("miss.first_seen"),
-            miss_config_mismatch: g("miss.config_mismatch"),
-            miss_budget_retry: g("miss.budget_retry"),
-            miss_near_miss: g("miss.near_miss"),
-            audit_pairs: g("audit.pairs"),
-            audit_shared_prefix: g("audit.shared_prefix"),
-            audit_added: g("audit.added"),
-            audit_removed: g("audit.removed"),
-            audit_pure_extensions: g("audit.pure_extensions"),
-            cores: g("cores"),
-            cores_inexact: g("cores.inexact"),
-        }
-    }
-
     /// Queries attributed to `phase` — the `{prefix}.queries.phase.{tag}`
     /// cell bound sessions write through. The cells over all of
     /// [`PHASES`] partition `{prefix}.queries`.
@@ -740,42 +716,23 @@ impl SessionStats {
     }
 }
 
-/// Registry counter handles a session writes through *at event time*, so
-/// several sessions bound to the same registry and prefix (for example, one
-/// per thread) add into the same cells instead of being summed after the
-/// fact.
+/// The handles a session counts through, each bumped once *at event
+/// time*. Several sessions bound to the same registry and prefix (for
+/// example, one per thread) add into the same cells instead of being summed
+/// after the fact.
 ///
-/// The default handles are detached (not in any registry): sessions always
-/// write through them, and binding just swaps in shared cells.
+/// The default handles are detached (not in any registry): an unbound
+/// session counts into cells of its own, and binding swaps in shared ones.
 #[derive(Debug, Default)]
 struct SessionMetrics {
-    queries: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    sat_resolves: Counter,
-    retries: Counter,
-    cache_upgrades: Counter,
-    unknown_deadline: Counter,
-    unknown_cancelled: Counter,
-    unknown_step_limit: Counter,
-    unknown_overflow: Counter,
-    miss_first_seen: Counter,
-    miss_config_mismatch: Counter,
-    miss_budget_retry: Counter,
-    miss_near_miss: Counter,
-    audit_pairs: Counter,
-    audit_shared_prefix: Counter,
-    audit_added: Counter,
-    audit_removed: Counter,
-    audit_pure_extensions: Counter,
+    /// The counters [`SessionStats`] reads.
+    counts: SessionCounters,
     /// Summed nanoseconds spent in uncached solves — cache misses and sat
     /// re-solves (the audit's denominator for projected warm-start savings).
     audit_solve_ns: Counter,
     /// Projected nanoseconds a warm-started solver would have saved:
     /// `solve_ns x shared_prefix / atoms` summed over audited misses.
     audit_warm_ns: Counter,
-    cores: Counter,
-    cores_inexact: Counter,
     /// Log-scaled assertion-set delta (added + removed atoms) between
     /// consecutive queries. Bound as `{prefix}.audit.delta_atoms`.
     audit_delta_atoms: Histogram,
@@ -794,29 +751,9 @@ impl SessionMetrics {
     fn bind(registry: &MetricsRegistry, prefix: &str) -> SessionMetrics {
         let c = |name: &str| registry.counter(&format!("{prefix}.{name}"));
         SessionMetrics {
-            queries: c("queries"),
-            cache_hits: c("cache_hits"),
-            cache_misses: c("cache_misses"),
-            sat_resolves: c("sat_resolves"),
-            retries: c("retries"),
-            cache_upgrades: c("cache_upgrades"),
-            unknown_deadline: c("unknown.deadline"),
-            unknown_cancelled: c("unknown.cancelled"),
-            unknown_step_limit: c("unknown.step_limit"),
-            unknown_overflow: c("unknown.overflow"),
-            miss_first_seen: c("miss.first_seen"),
-            miss_config_mismatch: c("miss.config_mismatch"),
-            miss_budget_retry: c("miss.budget_retry"),
-            miss_near_miss: c("miss.near_miss"),
-            audit_pairs: c("audit.pairs"),
-            audit_shared_prefix: c("audit.shared_prefix"),
-            audit_added: c("audit.added"),
-            audit_removed: c("audit.removed"),
-            audit_pure_extensions: c("audit.pure_extensions"),
+            counts: SessionCounters::bind(registry, prefix),
             audit_solve_ns: c("audit.solve_ns"),
             audit_warm_ns: c("audit.warm_ns"),
-            cores: c("cores"),
-            cores_inexact: c("cores.inexact"),
             audit_delta_atoms: registry.histogram(&format!("{prefix}.audit.delta_atoms")),
             query_ns: registry.histogram(&format!("{prefix}.query_ns")),
             queries_by_phase: std::array::from_fn(|i| {
@@ -829,17 +766,18 @@ impl SessionMetrics {
     }
 
     fn note_unknown(&self, reason: StopReason) {
+        let c = &self.counts;
         match reason {
-            StopReason::Deadline => self.unknown_deadline.inc(),
-            StopReason::Cancelled => self.unknown_cancelled.inc(),
-            StopReason::StepLimit => self.unknown_step_limit.inc(),
-            StopReason::Overflow => self.unknown_overflow.inc(),
+            StopReason::Deadline => c.unknown_deadline.inc(),
+            StopReason::Cancelled => c.unknown_cancelled.inc(),
+            StopReason::StepLimit => c.unknown_step_limit.inc(),
+            StopReason::Overflow => c.unknown_overflow.inc(),
         }
     }
 
     /// Bumps the total and per-phase query counters (one query issued).
     fn note_query(&self, phase: Phase) {
-        self.queries.inc();
+        self.counts.queries.inc();
         self.queries_by_phase[phase as usize].inc();
     }
 
@@ -892,9 +830,8 @@ pub struct SmtSession {
     /// of the cache key: it is external state (a caller-owned kill switch),
     /// not part of what the query *means*.
     budget: Budget,
-    /// Counters for this session's traffic.
-    pub stats: SessionStats,
-    /// Registry write-through handles (detached until [`bind_metrics`](Self::bind_metrics)).
+    /// The counters for this session's traffic (detached until
+    /// [`bind_metrics`](Self::bind_metrics)).
     metrics: SessionMetrics,
     /// Where queries come from: the engine mutates this shared context as
     /// the run moves through iterations/phases/paths, and every query span
@@ -934,7 +871,6 @@ impl SmtSession {
             fp_memo: HashMap::new(),
             cache,
             budget: Budget::unlimited(),
-            stats: SessionStats::default(),
             metrics: SessionMetrics::default(),
             prov: ProvenanceCtx::default(),
             last_core: None,
@@ -948,8 +884,17 @@ impl SmtSession {
     /// (e.g. `"smt"` yields `smt.queries`, `smt.cache_hits`, ...). Sessions
     /// bound to the same registry and prefix count into the same cells at
     /// event time; read the totals back with [`SessionStats::from_registry`].
+    /// Counts made before binding stay in the session's old cells.
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry, prefix: &str) {
         self.metrics = SessionMetrics::bind(registry, prefix);
+    }
+
+    /// The counters this session counts into. For an unbound session these
+    /// are its own traffic. Once bound, they are the shared registry cells,
+    /// so the values include every other session bound to the same registry
+    /// and prefix (the same as [`SessionStats::from_registry`]).
+    pub fn stats(&self) -> SessionStats {
+        self.metrics.counts.read()
     }
 
     /// Installs the shared provenance context queries are attributed to.
@@ -1195,11 +1140,9 @@ impl SmtSession {
     /// Books an `Unsat` verdict's core into `last_core`, the counters, and
     /// (when tracing) the query span.
     fn note_core(&mut self, core: UnsatCore, span: &mut pins_trace::Span) {
-        self.stats.cores += 1;
-        self.metrics.cores.inc();
+        self.metrics.counts.cores.inc();
         if !core.exact {
-            self.stats.cores_inexact += 1;
-            self.metrics.cores_inexact.inc();
+            self.metrics.counts.cores_inexact.inc();
         }
         if span.is_active() {
             span.record_u64("core_size", core.members.len() as u64);
@@ -1242,17 +1185,13 @@ impl SmtSession {
             }
             added += (a.len() - i) as u64;
             removed += (b.len() - j) as u64;
-            self.stats.audit_pairs += 1;
-            self.stats.audit_shared_prefix += shared_prefix;
-            self.stats.audit_added += added;
-            self.stats.audit_removed += removed;
-            self.metrics.audit_pairs.inc();
-            self.metrics.audit_shared_prefix.add(shared_prefix);
-            self.metrics.audit_added.add(added);
-            self.metrics.audit_removed.add(removed);
+            let c = &self.metrics.counts;
+            c.audit_pairs.inc();
+            c.audit_shared_prefix.add(shared_prefix);
+            c.audit_added.add(added);
+            c.audit_removed.add(removed);
             if removed == 0 {
-                self.stats.audit_pure_extensions += 1;
-                self.metrics.audit_pure_extensions.inc();
+                c.audit_pure_extensions.inc();
             }
             self.metrics.audit_delta_atoms.record(added + removed);
             Some(AuditDelta {
@@ -1291,29 +1230,16 @@ impl SmtSession {
     /// the per-cause counters, stamps the query span, and emits the per-miss
     /// trace point.
     fn note_miss(&mut self, shape: &QueryShape, span: &mut pins_trace::Span) {
-        self.stats.cache_misses += 1;
-        self.metrics.cache_misses.inc();
+        let c = &self.metrics.counts;
+        c.cache_misses.inc();
         let (cause, near_delta) = self
             .cache
             .classify_miss(shape.structural_key(), &shape.sorted);
-        self.cache.note_miss_cause(cause);
         match cause {
-            MissCause::FirstSeen => {
-                self.stats.miss_first_seen += 1;
-                self.metrics.miss_first_seen.inc();
-            }
-            MissCause::ConfigMismatch => {
-                self.stats.miss_config_mismatch += 1;
-                self.metrics.miss_config_mismatch.inc();
-            }
-            MissCause::BudgetRetry => {
-                self.stats.miss_budget_retry += 1;
-                self.metrics.miss_budget_retry.inc();
-            }
-            MissCause::NearMiss => {
-                self.stats.miss_near_miss += 1;
-                self.metrics.miss_near_miss.inc();
-            }
+            MissCause::FirstSeen => c.miss_first_seen.inc(),
+            MissCause::ConfigMismatch => c.miss_config_mismatch.inc(),
+            MissCause::BudgetRetry => c.miss_budget_retry.inc(),
+            MissCause::NearMiss => c.miss_near_miss.inc(),
         }
         if span.is_active() {
             span.record_str("miss_cause", cause.as_str());
@@ -1366,8 +1292,7 @@ impl SmtSession {
             // a cancellation is a caller's kill switch, not a budget the
             // query outgrew: never retry it
             if self.config.retry_unknown && reason != StopReason::Cancelled {
-                self.stats.retries += 1;
-                self.metrics.retries.inc();
+                self.metrics.counts.retries.inc();
                 let escalated = self.config.escalate();
                 let (retried, retried_core) = self.solve(arena, assumptions, escalated);
                 let esc_key = shape.key_for(config_fingerprint(&escalated));
@@ -1379,15 +1304,13 @@ impl SmtSession {
                 if !matches!(retried, SmtResult::Unknown(_)) {
                     // the larger budget settled it: upgrade the entry the
                     // original key would otherwise pin to Unknown
-                    self.stats.cache_upgrades += 1;
-                    self.metrics.cache_upgrades.inc();
+                    self.metrics.counts.cache_upgrades.inc();
                 }
                 result = retried;
                 tracked = retried_core;
             }
         }
         if let SmtResult::Unknown(reason) = result {
-            self.stats.note_unknown(reason);
             self.metrics.note_unknown(reason);
         }
         let verdict = Verdict::of(&result);
@@ -1416,9 +1339,33 @@ impl SmtSession {
     /// satisfiable verdict still re-solves, because models cannot be shared
     /// across arenas (counted in [`SessionStats::sat_resolves`]).
     pub fn check_under(&mut self, arena: &mut TermArena, assumptions: &[TermId]) -> SmtResult {
+        match self.query(arena, assumptions, true) {
+            Answer::Solved(result) => result,
+            Answer::Cached(Verdict::Unsat) => SmtResult::Unsat,
+            Answer::Cached(Verdict::Unknown { reason }) => SmtResult::Unknown(reason),
+            Answer::Cached(Verdict::Sat { .. }) => {
+                unreachable!("a cached sat verdict re-solves when a model is needed")
+            }
+        }
+    }
+
+    /// The verdict of the current scope plus `assumptions`, without a model.
+    /// Any cached verdict short-circuits the solver entirely.
+    pub fn verdict_under(&mut self, arena: &mut TermArena, assumptions: &[TermId]) -> Verdict {
+        match self.query(arena, assumptions, false) {
+            Answer::Solved(result) => Verdict::of(&result),
+            Answer::Cached(verdict) => verdict,
+        }
+    }
+
+    /// One query: counts it, audits it against the previous one, and looks
+    /// it up in the cache. A hit is the answer, unless `need_model` is set
+    /// and the cached verdict is `Sat`: that re-solves to build a model for
+    /// this arena. A miss solves and caches. Either solve stamps the span
+    /// `cached: false`.
+    fn query(&mut self, arena: &mut TermArena, assumptions: &[TermId], need_model: bool) -> Answer {
         let started = Instant::now();
         let phase = self.prov.phase();
-        self.stats.queries += 1;
         self.metrics.note_query(phase);
         self.last_core = None;
         let mut span = self.query_span(assumptions.len());
@@ -1426,61 +1373,45 @@ impl SmtSession {
         let delta = self.note_audit(&shape);
         self.stamp_audit(&mut span, &shape, delta.as_ref());
         let key = shape.key_for(self.config_fp);
-        let cached: Option<SmtResult> = match self.cache.lookup(key) {
-            Some(entry) => match entry.verdict {
-                Verdict::Unsat => {
-                    self.stats.cache_hits += 1;
-                    self.metrics.cache_hits.inc();
-                    span.record("cached", true);
-                    span.record_str("verdict", "unsat");
-                    if let Some(c) = &entry.core {
-                        let core = self.core_of_cached(&shape, c);
-                        self.note_core(core, &mut span);
-                    }
-                    Some(SmtResult::Unsat)
+        let answer = match self.cache.lookup(key) {
+            Some(entry) if !(need_model && entry.verdict.is_sat()) => {
+                self.metrics.counts.cache_hits.inc();
+                if let (Verdict::Unsat, Some(c)) = (entry.verdict, &entry.core) {
+                    let core = self.core_of_cached(&shape, c);
+                    self.note_core(core, &mut span);
                 }
-                Verdict::Unknown { reason } => {
-                    self.stats.cache_hits += 1;
-                    self.metrics.cache_hits.inc();
-                    span.record("cached", true);
-                    span.record_str("verdict", "unknown");
-                    Some(SmtResult::Unknown(reason))
-                }
-                Verdict::Sat { .. } => {
-                    self.stats.cache_hits += 1;
-                    self.stats.sat_resolves += 1;
-                    self.metrics.cache_hits.inc();
-                    self.metrics.sat_resolves.inc();
-                    None
-                }
-            },
-            None => {
-                self.note_miss(&shape, &mut span);
-                None
+                Answer::Cached(entry.verdict)
             }
-        };
-        let result = match cached {
-            Some(r) => r,
-            None => {
+            hit => {
+                if hit.is_some() {
+                    self.metrics.counts.cache_hits.inc();
+                    self.metrics.counts.sat_resolves.inc();
+                } else {
+                    self.note_miss(&shape, &mut span);
+                }
                 let t0 = Instant::now();
                 let r = self.solve_and_cache(arena, assumptions, &shape, key, &mut span);
                 self.note_warm_projection(delta.as_ref(), t0.elapsed().as_nanos() as u64);
-                if span.is_active() {
-                    span.record("cached", false);
-                    span.record_str(
-                        "verdict",
-                        match &r {
-                            SmtResult::Sat(_) => "sat",
-                            SmtResult::Unsat => "unsat",
-                            SmtResult::Unknown(_) => "unknown",
-                        },
-                    );
-                }
-                r
+                Answer::Solved(r)
             }
         };
+        if span.is_active() {
+            let (cached, verdict) = match &answer {
+                Answer::Cached(v) => (true, *v),
+                Answer::Solved(r) => (false, Verdict::of(r)),
+            };
+            span.record("cached", cached);
+            span.record_str(
+                "verdict",
+                match verdict {
+                    Verdict::Sat { .. } => "sat",
+                    Verdict::Unsat => "unsat",
+                    Verdict::Unknown { .. } => "unknown",
+                },
+            );
+        }
         self.metrics.note_latency(phase, started.elapsed());
-        result
+        answer
     }
 
     /// Opens the per-query trace span, stamping the shared budget's
@@ -1513,54 +1444,6 @@ impl SmtSession {
             }
         }
         span
-    }
-
-    /// The verdict of the current scope plus `assumptions`, without a model.
-    /// Any cached verdict short-circuits the solver entirely.
-    pub fn verdict_under(&mut self, arena: &mut TermArena, assumptions: &[TermId]) -> Verdict {
-        let started = Instant::now();
-        let phase = self.prov.phase();
-        self.stats.queries += 1;
-        self.metrics.note_query(phase);
-        self.last_core = None;
-        let mut span = self.query_span(assumptions.len());
-        let shape = self.query_shape(arena, assumptions);
-        let delta = self.note_audit(&shape);
-        self.stamp_audit(&mut span, &shape, delta.as_ref());
-        let key = shape.key_for(self.config_fp);
-        let (verdict, cached) = match self.cache.lookup(key) {
-            Some(entry) => {
-                self.stats.cache_hits += 1;
-                self.metrics.cache_hits.inc();
-                if entry.verdict.is_unsat() {
-                    if let Some(c) = &entry.core {
-                        let core = self.core_of_cached(&shape, c);
-                        self.note_core(core, &mut span);
-                    }
-                }
-                (entry.verdict, true)
-            }
-            None => {
-                self.note_miss(&shape, &mut span);
-                let t0 = Instant::now();
-                let r = self.solve_and_cache(arena, assumptions, &shape, key, &mut span);
-                self.note_warm_projection(delta.as_ref(), t0.elapsed().as_nanos() as u64);
-                (Verdict::of(&r), false)
-            }
-        };
-        if span.is_active() {
-            span.record("cached", cached);
-            span.record_str(
-                "verdict",
-                match verdict {
-                    Verdict::Sat { .. } => "sat",
-                    Verdict::Unsat => "unsat",
-                    Verdict::Unknown { .. } => "unknown",
-                },
-            );
-        }
-        self.metrics.note_latency(phase, started.elapsed());
-        verdict
     }
 
     /// Whether the current scope plus `assumptions` is provably

@@ -1088,7 +1088,7 @@ mod session {
         assert!(s.is_unsat_under(&mut a, &[lt0]));
         assert_eq!(s.cache().hits(), 1);
         assert_eq!(s.cache().misses(), misses);
-        assert_eq!(s.stats.queries, 2);
+        assert_eq!(s.stats().queries, 2);
         let _ = hi;
     }
 
@@ -1107,8 +1107,8 @@ mod session {
         second.assert(ge0);
         // same query through another session: answered by the shared cache
         assert!(second.is_unsat_under(&mut a, &[lt0]));
-        assert_eq!(second.stats.cache_hits, 1);
-        assert_eq!(second.stats.cache_misses, 0);
+        assert_eq!(second.stats().cache_hits, 1);
+        assert_eq!(second.stats().cache_misses, 0);
         assert_eq!(first.cache().hits(), 1);
     }
 
@@ -1127,11 +1127,11 @@ mod session {
             SmtResult::Sat(m) => assert!((2..=4).contains(&m.ints[&x])),
             other => panic!("expected sat, got {other:?}"),
         }
-        assert_eq!(s.stats.sat_resolves, 1);
-        assert_eq!(s.stats.cache_hits, 1);
+        assert_eq!(s.stats().sat_resolves, 1);
+        assert_eq!(s.stats().cache_hits, 1);
         // verdict-only queries short-circuit entirely
         assert!(s.verdict_under(&mut a, &[]).is_sat());
-        assert_eq!(s.stats.cache_hits, 2);
+        assert_eq!(s.stats().cache_hits, 2);
     }
 
     #[test]
@@ -1188,9 +1188,9 @@ mod session {
             }
         }
         assert!(
-            cached.stats.cache_hits >= corpus.len() as u64,
+            cached.stats().cache_hits >= corpus.len() as u64,
             "round 2 must be served by the cache: {:?}",
-            cached.stats
+            cached.stats()
         );
     }
 
@@ -1232,10 +1232,11 @@ mod session {
             assert!(s1.verdict_under(&mut a, &[ge0, lt0]).is_unsat());
             assert!(s2.verdict_under(&mut a, &[ge0, lt0]).is_unsat());
             assert_eq!(
-                s2.stats.cache_misses, 1,
+                s2.stats().cache_misses,
+                1,
                 "config differing only in `{field}` must MISS, not reuse s1's entry"
             );
-            assert_eq!(s2.stats.cache_hits, 0, "`{field}` variant hit the cache");
+            assert_eq!(s2.stats().cache_hits, 0, "`{field}` variant hit the cache");
         }
     }
 
@@ -1271,9 +1272,10 @@ mod session {
             let mut a = TermArena::new();
             let fs = build(&mut a);
             let v = s.verdict_under(&mut a, &fs);
-            if s.stats.retries == 1 && v.is_unsat() {
+            if s.stats().retries == 1 && v.is_unsat() {
                 assert_eq!(
-                    s.stats.cache_upgrades, 1,
+                    s.stats().cache_upgrades,
+                    1,
                     "definitive retry must upgrade the original entry"
                 );
                 // the upgraded entry is at the ORIGINAL config's key: a new
@@ -1283,10 +1285,11 @@ mod session {
                 let fs2 = build(&mut a2);
                 assert!(s2.verdict_under(&mut a2, &fs2).is_unsat());
                 assert_eq!(
-                    s2.stats.cache_hits, 1,
+                    s2.stats().cache_hits,
+                    1,
                     "upgrade did not land at the original key"
                 );
-                assert_eq!(s2.stats.cache_misses, 0);
+                assert_eq!(s2.stats().cache_misses, 0);
                 exercised_upgrade = true;
                 break;
             }
@@ -1298,7 +1301,7 @@ mod session {
                         reason: StopReason::StepLimit
                     }
                 );
-                assert_eq!(s.stats.retries, 1, "unknowns are retried once");
+                assert_eq!(s.stats().retries, 1, "unknowns are retried once");
             }
         }
         assert!(
@@ -1332,8 +1335,12 @@ mod session {
                 reason: StopReason::Cancelled
             }
         );
-        assert_eq!(s.stats.retries, 0, "cancellation must not trigger a retry");
-        assert_eq!(s.stats.unknown_cancelled, 1);
+        assert_eq!(
+            s.stats().retries,
+            0,
+            "cancellation must not trigger a retry"
+        );
+        assert_eq!(s.stats().unknown_cancelled, 1);
     }
 }
 
@@ -1392,8 +1399,8 @@ mod xray {
         // the defining property: the members alone are unsat
         let members: Vec<TermId> = idxs.iter().map(|&i| fs[i]).collect();
         assert!(fresh_session().verdict_under(&mut a, &members).is_unsat());
-        assert_eq!(s.stats.cores, 1);
-        assert_eq!(s.stats.cores_inexact, 0);
+        assert_eq!(s.stats().cores, 1);
+        assert_eq!(s.stats().cores_inexact, 0);
     }
 
     /// Core members carry their origin: persistent assertions vs. per-query
@@ -1436,12 +1443,12 @@ mod xray {
 
         let mut s2 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
         assert!(s2.verdict_under(&mut a, &fs).is_unsat());
-        assert_eq!(s2.stats.cache_hits, 1, "second solve must be a hit");
+        assert_eq!(s2.stats().cache_hits, 1, "second solve must be a hit");
         let core2 = s2
             .last_unsat_core()
             .expect("cache hit must replay the core");
         assert_eq!(core2.id, id1, "content id must be stable across sessions");
-        assert_eq!(s2.stats.cores, 1);
+        assert_eq!(s2.stats().cores, 1);
     }
 
     /// With `track_cores` off there is no core, and the config fingerprint
@@ -1463,7 +1470,8 @@ mod xray {
         let mut s2 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
         assert!(s2.verdict_under(&mut a, &fs).is_unsat());
         assert_eq!(
-            s2.stats.cache_misses, 1,
+            s2.stats().cache_misses,
+            1,
             "tracked config must not reuse the untracked entry"
         );
         assert!(s2.last_unsat_core().is_some());
@@ -1519,19 +1527,39 @@ mod xray {
 
         let mut s1 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
         assert!(s1.verdict_under(&mut a, &fs).is_unsat());
-        assert_eq!(s1.stats.miss_first_seen, 1);
+        assert_eq!(s1.stats().miss_first_seen, 1);
 
         let mut other = cfg();
         other.max_theory_rounds += 1; // semantically irrelevant, new key
         let mut s2 = SmtSession::with_cache(other, Arc::clone(&cache));
         assert!(s2.verdict_under(&mut a, &fs).is_unsat());
-        assert_eq!(s2.stats.miss_config_mismatch, 1, "{:?}", s2.stats);
+        assert_eq!(s2.stats().miss_config_mismatch, 1, "{:?}", s2.stats());
 
-        let b = cache.miss_breakdown();
-        assert_eq!(
-            b.first_seen + b.config_mismatch + b.budget_retry + b.near_miss,
-            cache.misses()
-        );
+        let causes = |s: &SmtSession| {
+            let st = s.stats();
+            st.miss_first_seen + st.miss_config_mismatch + st.miss_budget_retry + st.miss_near_miss
+        };
+        assert_eq!(causes(&s1) + causes(&s2), cache.misses());
+    }
+
+    /// Clearing the cache forgets the forensics index too: repeating a
+    /// query afterwards misses as `FirstSeen`, not as config churn against
+    /// a verdict that is no longer cached.
+    #[test]
+    fn clear_resets_miss_forensics() {
+        let cache = Arc::new(QueryCache::new());
+        let mut a = TermArena::new();
+        let x = int_var(&mut a, "x");
+        let zero = a.mk_int(0);
+        let fs = vec![a.mk_ge(x, zero), a.mk_lt(x, zero)];
+        let mut s1 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
+        assert!(s1.verdict_under(&mut a, &fs).is_unsat());
+        cache.clear();
+
+        let mut s2 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
+        assert!(s2.verdict_under(&mut a, &fs).is_unsat());
+        assert_eq!(s2.stats().miss_first_seen, 1, "{:?}", s2.stats());
+        assert_eq!(s2.stats().miss_config_mismatch, 0, "{:?}", s2.stats());
     }
 
     /// A structural precedent that was budget-limited classifies later
@@ -1555,7 +1583,7 @@ mod xray {
 
         let mut s2 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
         assert!(s2.verdict_under(&mut a, &[f1, f2]).is_unsat());
-        assert_eq!(s2.stats.miss_budget_retry, 1, "{:?}", s2.stats);
+        assert_eq!(s2.stats().miss_budget_retry, 1, "{:?}", s2.stats());
     }
 
     /// A query within [`crate::NEAR_MISS_DELTA`] atoms of a cached one is a
@@ -1581,7 +1609,7 @@ mod xray {
         near.push(a.mk_le(w, hundred));
         let mut s2 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
         assert!(s2.verdict_under(&mut a, &near).is_sat());
-        assert_eq!(s2.stats.miss_near_miss, 1, "{:?}", s2.stats);
+        assert_eq!(s2.stats().miss_near_miss, 1, "{:?}", s2.stats());
         assert_eq!(
             MissCause::NearMiss.as_str(),
             "near_miss",
@@ -1594,7 +1622,7 @@ mod xray {
         let other = vec![a.mk_eq(z, seven)];
         let mut s3 = SmtSession::with_cache(cfg(), Arc::clone(&cache));
         assert!(s3.verdict_under(&mut a, &other).is_sat());
-        assert_eq!(s3.stats.miss_first_seen, 1, "{:?}", s3.stats);
+        assert_eq!(s3.stats().miss_first_seen, 1, "{:?}", s3.stats());
     }
 
     /// The incrementality audit measures consecutive queries: shared
@@ -1616,23 +1644,23 @@ mod xray {
         s.assert(f2);
         // query 1: first query, no pair measured
         assert!(s.verdict_under(&mut a, &[]).is_sat());
-        assert_eq!(s.stats.audit_pairs, 0);
+        assert_eq!(s.stats().audit_pairs, 0);
 
         // query 2: pure extension (adds f3, removes nothing)
         assert!(s.verdict_under(&mut a, &[f3]).is_sat());
-        assert_eq!(s.stats.audit_pairs, 1);
-        assert_eq!(s.stats.audit_shared_prefix, 2);
-        assert_eq!(s.stats.audit_added, 1);
-        assert_eq!(s.stats.audit_removed, 0);
-        assert_eq!(s.stats.audit_pure_extensions, 1);
+        assert_eq!(s.stats().audit_pairs, 1);
+        assert_eq!(s.stats().audit_shared_prefix, 2);
+        assert_eq!(s.stats().audit_added, 1);
+        assert_eq!(s.stats().audit_removed, 0);
+        assert_eq!(s.stats().audit_pure_extensions, 1);
 
         // query 3: swaps f3 for f4 (prefix still shared, one in, one out)
         assert!(s.verdict_under(&mut a, &[f4]).is_sat());
-        assert_eq!(s.stats.audit_pairs, 2);
-        assert_eq!(s.stats.audit_shared_prefix, 4);
-        assert_eq!(s.stats.audit_added, 2);
-        assert_eq!(s.stats.audit_removed, 1);
-        assert_eq!(s.stats.audit_pure_extensions, 1);
+        assert_eq!(s.stats().audit_pairs, 2);
+        assert_eq!(s.stats().audit_shared_prefix, 4);
+        assert_eq!(s.stats().audit_added, 2);
+        assert_eq!(s.stats().audit_removed, 1);
+        assert_eq!(s.stats().audit_pure_extensions, 1);
     }
 
     /// `last_unsat_core` is per-query state: a sat query after an unsat one

@@ -10,7 +10,7 @@ use pins_budget::{Budget, StopReason};
 use pins_ir::{EHoleId, Expr, LoopId, PHoleId, Pred, Program, Stmt, VarId};
 use pins_logic::{collect_subterms, Sort, Term, TermId};
 use pins_smt::{SmtConfig, SmtSession};
-use pins_trace::{Counter, MetricsRegistry};
+use pins_trace::MetricsRegistry;
 
 use crate::ctx::{version_of, HoleKind, SymCtx, VersionMap};
 
@@ -142,11 +142,10 @@ pub struct Explorer<'p> {
     /// Shared cancellation/deadline budget, polled periodically between
     /// symbolic steps (feasibility queries poll it inside the solver).
     budget: Budget,
-    /// Count of SMT feasibility queries issued (instrumentation).
+    /// Count of SMT feasibility queries this explorer issued (its spans
+    /// record per-search deltas; a bound registry counts them as the
+    /// session's `{prefix}.queries`).
     pub feasibility_queries: u64,
-    /// Registry write-through for feasibility queries (detached until
-    /// [`bind_metrics`](Self::bind_metrics)).
-    feas_counter: Counter,
     /// Set when the last search stopped on the step budget rather than by
     /// exhausting the (bounded) path space.
     pub budget_hit: bool,
@@ -172,7 +171,6 @@ impl<'p> Explorer<'p> {
             session,
             budget: Budget::unlimited(),
             feasibility_queries: 0,
-            feas_counter: Counter::detached(),
             budget_hit: false,
             stop_reason: None,
         }
@@ -185,13 +183,12 @@ impl<'p> Explorer<'p> {
         self.budget = budget;
     }
 
-    /// Binds this explorer's counters to `registry`: feasibility queries go
-    /// to `explore.feasibility_queries`, and the internal solver session's
-    /// traffic goes under `session_prefix` (e.g. `"feas"`), kept separate
-    /// from the engine's own `smt.*` cells.
+    /// Binds the internal solver session's counters to `registry` under
+    /// `session_prefix` (e.g. `"feas"`), kept separate from the engine's own
+    /// `smt.*` cells. Feasibility checks are that session's only queries,
+    /// so `{session_prefix}.queries` counts them.
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry, session_prefix: &str) {
         self.session.bind_metrics(registry, session_prefix);
-        self.feas_counter = registry.counter("explore.feasibility_queries");
     }
 
     /// Installs the shared provenance context on the internal solver
@@ -286,7 +283,6 @@ impl<'p> Explorer<'p> {
             return true;
         }
         self.feasibility_queries += 1;
-        self.feas_counter.inc();
         !self
             .session
             .verdict_under(&mut ctx.arena, substituted)

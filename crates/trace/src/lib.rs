@@ -9,10 +9,10 @@
 //! * **[`MetricsRegistry`]** — a thread-safe registry of named atomic
 //!   counters and duration accumulators. One registry per synthesis run is
 //!   the single source of truth for every statistic the stack reports;
-//!   the legacy `SolveStats` / `SessionStats` / `PinsStats` structs are
-//!   typed views over it. Counter handles are cheap `Arc<AtomicU64>`
-//!   clones, so every holder of a handle, on any thread, bumps the *same*
-//!   cell the reader sees — no after-the-fact merging, no drift.
+//!   the typed `SessionStats` / `PinsStats` structs are snapshots read from
+//!   its cells. Counter handles are cheap `Arc<AtomicU64>` clones, so every
+//!   holder of a handle, on any thread, bumps the *same* cell the reader
+//!   sees — each event is counted once, with no after-the-fact merging.
 //! * **[`span`]** — RAII spans with monotonic timing and per-thread span
 //!   stacks, so events emitted from worker threads are attributed to the
 //!   worker's own open span rather than whatever the main thread is doing.

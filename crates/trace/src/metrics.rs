@@ -1,14 +1,12 @@
 //! The unified stats registry: named atomic counters and duration
 //! accumulators, one registry per synthesis run.
 //!
-//! Historically each layer of the stack kept its own stats struct
-//! (`SolveStats` in `pins-core`, `SessionStats` in `pins-smt`,
-//! `PinsStats` on the engine) and counters were hand-copied between them
-//! at layer boundaries — three chances per counter to drift. A
-//! [`MetricsRegistry`] replaces that: every layer binds cheap [`Counter`]
-//! handles to the same registry and bumps them *at event time*. Those
-//! structs still exist, but as typed views reconstructed from the registry,
-//! so they agree with it by construction.
+//! Every layer of the stack binds cheap [`Counter`] handles to the same
+//! registry and bumps each one once, *at event time*; no layer keeps a
+//! second copy of a count. The typed stats structs (`SessionStats` in
+//! `pins-smt`, `PinsStats` on the engine) hold no live state: they are
+//! snapshots read from counter cells, so they agree with the registry by
+//! construction.
 //!
 //! Durations are stored as nanoseconds in ordinary counters under the same
 //! namespace (`phase.symexec`, `phase.sat`, ...); [`MetricsRegistry::add_duration`]

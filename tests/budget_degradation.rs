@@ -11,7 +11,7 @@ use pins::core::{
 };
 use pins::ir::parse_expr_in;
 use pins::logic::{Sort, TermArena, TermId};
-use pins::prelude::StopReason;
+use pins::prelude::{MetricsRegistry, StopReason};
 use pins::smt::{SmtConfig, SmtResult, SmtSession};
 use pins::symexec::SymCtx;
 
@@ -68,7 +68,7 @@ fn runaway_query_degrades_to_unknown_deadline_within_twice_the_limit() {
         elapsed < 2 * deadline,
         "answered after {elapsed:?}, limit was {deadline:?}"
     );
-    assert_eq!(session.stats.unknown_deadline, 1);
+    assert_eq!(session.stats().unknown_deadline, 1);
 }
 
 /// Cancelling the shared budget from outside stops the same runaway query
@@ -133,12 +133,14 @@ fn solve_with_poison() -> (Vec<String>, u64) {
     });
     let mut smt = SmtSession::new(SmtConfig::default());
     let mut solver = HoleSolver::new(&domains);
+    let registry = MetricsRegistry::new();
+    solver.bind_metrics(&registry);
     let sols = solver.solve(&mut ctx, &session, &domains, &constraints, 4, &mut smt);
     let rendered = sols
         .iter()
         .map(|s| format!("{:?}{:?}", s.exprs, s.preds))
         .collect();
-    (rendered, solver.stats.verify_panics)
+    (rendered, registry.get("solve.verify_panics"))
 }
 
 /// A constraint whose verification panics is degraded to "unverified"

@@ -1,7 +1,7 @@
 //! Integration tests for the incremental solver session: synthesis results
 //! stay pinned, concurrent runs sharing the query cache agree with serial
 //! ones, the process-wide query cache actually fires on suite benchmarks,
-//! registry counters agree with the typed stats, and the one-call
+//! concurrent runs into one registry count each event once, and the one-call
 //! `pins::invert` facade works end to end.
 
 use pins::ir::{program_to_string, run, ExternEnv, Store, Value};
@@ -115,43 +115,44 @@ fn repeated_runs_hit_the_query_cache() {
 
 #[test]
 fn registry_totals_match_typed_stats_in_serial_and_parallel() {
-    // the drift check: every counter is bumped at event time through shared
-    // registry cells, so the registry view of one run must agree exactly
-    // with its typed stats
-    let outcome = run_fresh(BenchmarkId::SumI);
-    let s = outcome.stats();
-    let r = pins::core::PinsStats::from_registry(outcome.metrics());
-    assert_eq!(r.smt_queries, s.smt_queries);
-    assert_eq!(r.smt_cache_hits, s.smt_cache_hits);
-    assert_eq!(r.smt_cache_misses, s.smt_cache_misses);
-    assert_eq!(r.feasibility_queries, s.feasibility_queries);
-    assert_eq!(r.verify_panics, s.verify_panics);
-    assert_eq!(r.sat_size, s.sat_size);
-    // session-level invariant: every query is either a hit or a miss
-    let sess = pins::smt::SessionStats::from_registry(outcome.metrics(), "smt");
-    assert_eq!(sess.cache_hits + sess.cache_misses, sess.queries);
-    assert_eq!(sess.cache_hits, s.smt_cache_hits);
-    assert_eq!(sess.cache_misses, s.smt_cache_misses);
-
-    // two runs on parallel threads recording into one registry: its cells
-    // hold the sum of both runs, with nothing lost or double-counted
+    // every counter is bumped once, at event time, in shared registry cells:
+    // two runs on parallel threads recording into one registry count
+    // exactly twice what a lone run into a fresh registry counts
+    let solo = run_fresh(BenchmarkId::SumI);
     let shared = MetricsRegistry::new();
-    let outcomes: Vec<PinsOutcome> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2)
             .map(|_| scope.spawn(|| run_benchmark(BenchmarkId::SumI, &shared)))
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        for h in handles {
+            h.join().unwrap();
+        }
     });
-    let sum = |f: fn(&pins::core::PinsStats) -> u64| -> u64 {
-        outcomes.iter().map(|o| f(o.stats())).sum()
-    };
-    let r = pins::core::PinsStats::from_registry(&shared);
-    assert_eq!(r.smt_queries, sum(|s| s.smt_queries));
-    assert_eq!(r.smt_cache_hits, sum(|s| s.smt_cache_hits));
-    assert_eq!(r.smt_cache_misses, sum(|s| s.smt_cache_misses));
-    assert_eq!(r.feasibility_queries, sum(|s| s.feasibility_queries));
-    let sess = pins::smt::SessionStats::from_registry(&shared, "smt");
-    assert_eq!(sess.cache_hits + sess.cache_misses, sess.queries);
+    for key in [
+        "smt.queries",
+        "feas.queries",
+        "solve.smt_queries",
+        "solve.candidates",
+    ] {
+        let one = solo.metrics().get(key);
+        assert!(one > 0, "{key}: a Σi run counts some");
+        assert_eq!(shared.get(key), 2 * one, "{key}: two runs count twice");
+    }
+    // the typed views read the same cells
+    let (s, r) = (solo.stats(), pins::core::PinsStats::from_registry(&shared));
+    assert_eq!(r.smt_queries, 2 * s.smt_queries);
+    assert_eq!(r.feasibility_queries, 2 * s.feasibility_queries);
+    // every query on either session is either a hit or a miss
+    for registry in [solo.metrics(), &shared] {
+        for prefix in ["smt", "feas"] {
+            let sess = pins::smt::SessionStats::from_registry(registry, prefix);
+            assert_eq!(
+                sess.cache_hits + sess.cache_misses,
+                sess.queries,
+                "{prefix}"
+            );
+        }
+    }
 }
 
 #[test]
